@@ -1,5 +1,5 @@
-//! Bench: the adaptive switchless engine under bursty concurrent load,
-//! against a fixed two-worker pool and classic crossings.
+//! Bench: the adaptive switchless scheduler under bursty concurrent
+//! load, against two fixed executors per side and classic crossings.
 //!
 //! Each iteration is one *burst*: several caller threads fire a volley
 //! of proxy calls at once, then go quiet — the access pattern the
@@ -76,9 +76,9 @@ fn bench_bursty_modes(c: &mut Criterion) {
     c.bench_function("burst_switchless_adaptive", |b| b.iter(|| burst(&adaptive, threads, calls)));
 
     // The adaptive engine with the trace-driven tuner attached. The
-    // global tracer is off in benches, so the tuner stays inert — this
-    // mode exists to pin its overhead at (near) zero against the plain
-    // adaptive engine.
+    // tuner reads the always-on task-wait histogram, so it acts here
+    // even with the global tracer off — this mode pins its overhead
+    // against the plain adaptive engine.
     let autotuned = launch(Some(SwitchlessConfig {
         min_workers: 1,
         max_workers: 8,

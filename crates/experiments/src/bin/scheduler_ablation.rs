@@ -1,4 +1,4 @@
-//! Ablation: work-stealing task scheduler vs thread-per-worker pool
+//! Ablation: work-stealing task scheduler vs a thread-per-worker model
 //! at tens of thousands of in-flight crossings.
 //!
 //! Two self-asserting halves (see [`experiments::scheduler`]):
@@ -8,12 +8,12 @@
 //!    both engine models on the model clock. Gates: peak depth ≥
 //!    10,000, identical response checksums, and strictly lower p95
 //!    *and* p99 latency for work-stealing on the bursty shape.
-//! 2. **Real engines** — concurrent callers drive nested-crossing
-//!    `ping` calls through classic crossings, the thread-per-worker
-//!    pool, and the work-stealing scheduler. Gates: identical reply
-//!    checksums across all three, `rmi.calls == hits + fallbacks` on
-//!    both engines, and live steal/suspend activity on the scheduler
-//!    (`rmi.sched_steals > 0`, `rmi.sched_suspends > 0`).
+//! 2. **Real engine** — concurrent callers drive nested-crossing
+//!    `ping` calls through classic crossings and the work-stealing
+//!    scheduler. Gates: identical reply checksums across both modes,
+//!    `rmi.calls == hits + fallbacks` on the scheduler, and live
+//!    steal/suspend activity (`rmi.sched_steals > 0`,
+//!    `rmi.sched_suspends > 0`).
 //!
 //! Flags: `--quick` (CI scale), `--json-out <path>` (the
 //! `montsalvat.scheduler-ablation/v1` report CI gates with jq),
@@ -137,8 +137,7 @@ fn main() {
         tpw.latency.p99_ns
     );
 
-    // ---- Half 2: real engines over nested crossings ------------------
-    let pool_config = SwitchlessConfig { min_workers: 2, max_workers: 8, ..Default::default() };
+    // ---- Half 2: the real engine over nested crossings ---------------
     let sched_config = SwitchlessConfig {
         min_workers: 4,
         max_workers: 8,
@@ -147,7 +146,6 @@ fn main() {
     };
     let runs = [
         run_engine("classic", None, threads, calls),
-        run_engine("pool", Some(pool_config), threads, calls),
         run_engine("scheduler", Some(sched_config), threads, calls),
     ];
     let rows: Vec<Vec<String>> = runs
@@ -167,27 +165,25 @@ fn main() {
         })
         .collect();
     print_table(
-        "Real engines over nested crossings",
+        "Real engine over nested crossings",
         &["mode", "pings", "model ms", "rmi", "hits", "fbk", "steals", "susp", "t/o"],
         &rows,
     );
 
-    let [classic, pool, sched] = &runs;
+    let [classic, sched] = &runs;
     assert!(
-        classic.checksum == pool.checksum && pool.checksum == sched.checksum,
-        "every engine must produce byte-identical replies: {:?}",
+        classic.checksum == sched.checksum,
+        "the scheduler must produce byte-identical replies: {:?}",
         runs.iter().map(|r| (r.label, r.checksum)).collect::<Vec<_>>()
     );
-    for run in [pool, sched] {
-        assert!(
-            reconciles(run),
-            "{}: rmi.calls {} must equal hits {} + fallbacks {}",
-            run.label,
-            run.snap.counter(Counter::RmiCalls),
-            run.snap.counter(Counter::SwitchlessCalls),
-            run.snap.counter(Counter::SwitchlessFallbacks)
-        );
-    }
+    assert!(
+        reconciles(sched),
+        "{}: rmi.calls {} must equal hits {} + fallbacks {}",
+        sched.label,
+        sched.snap.counter(Counter::RmiCalls),
+        sched.snap.counter(Counter::SwitchlessCalls),
+        sched.snap.counter(Counter::SwitchlessFallbacks)
+    );
     assert!(
         sched.snap.counter(Counter::SchedSteals) > 0,
         "executors must steal under concurrent load"
@@ -215,10 +211,10 @@ fn main() {
          \"replay\": {{\n    \"requests\": {requests}, \"workers\": {workers}, \
          \"nested_every\": {nested_every},\n    \"thread_per_worker\": {tpw},\n    \
          \"work_stealing\": {ws}\n  }},\n  \"engines\": {{\n    \"classic\": {classic},\n    \
-         \"pool\": {pool},\n    \"scheduler\": {sched}\n  }},\n  \"checks\": {{\n    \
+         \"scheduler\": {sched}\n  }},\n  \"checks\": {{\n    \
          \"peak_inflight_at_least_10k\": {depth_ok},\n    \"replay_checksums_match\": \
          {replay_ck},\n    \"p95_improves\": {p95_ok},\n    \"p99_improves\": {p99_ok},\n    \
-         \"engine_checksums_match\": {engine_ck},\n    \"pool_reconciled\": {pool_rec},\n    \
+         \"engine_checksums_match\": {engine_ck},\n    \
          \"scheduler_reconciled\": {sched_rec},\n    \"steals_nonzero\": {steals_ok},\n    \
          \"suspends_nonzero\": {susp_ok}\n  }}\n}}\n",
         scale = match scale {
@@ -231,14 +227,12 @@ fn main() {
         tpw = replay_json(&tpw),
         ws = replay_json(&ws),
         classic = engine_json(classic),
-        pool = engine_json(pool),
         sched = engine_json(sched),
         depth_ok = tpw.peak_inflight >= 10_000 && ws.peak_inflight >= 10_000,
         replay_ck = tpw.checksum == ws.checksum,
         p95_ok = ws.latency.p95_ns < tpw.latency.p95_ns,
         p99_ok = ws.latency.p99_ns < tpw.latency.p99_ns,
-        engine_ck = classic.checksum == pool.checksum && pool.checksum == sched.checksum,
-        pool_rec = reconciles(pool),
+        engine_ck = classic.checksum == sched.checksum,
         sched_rec = reconciles(sched),
         steals_ok = sched.snap.counter(Counter::SchedSteals) > 0,
         susp_ok = sched.snap.counter(Counter::SchedSuspends) > 0,
@@ -251,7 +245,7 @@ fn main() {
 
     println!(
         "\nok: {} in flight; work-stealing p95 {:.3} ms / p99 {:.3} ms vs thread-per-worker \
-         {:.3} / {:.3} ms; {} steals, {} suspends, checksums identical across engines",
+         {:.3} / {:.3} ms; {} steals, {} suspends, checksums identical across modes",
         ws.peak_inflight,
         ws.latency.p95_ns as f64 / 1e6,
         ws.latency.p99_ns as f64 / 1e6,

@@ -1,8 +1,9 @@
-//! Ablation: classic crossings vs a fixed two-worker switchless pool
-//! vs the adaptive engine, under bursty concurrent load.
+//! Ablation: classic crossings vs the switchless scheduler with two
+//! fixed executors per side vs the adaptive scheduler, under bursty
+//! concurrent load.
 //!
 //! Each burst fires several caller threads at once against a trusted
-//! object, then goes quiet — the arrival pattern the adaptive engine
+//! object, then goes quiet — the arrival pattern adaptive scaling
 //! targets (scale up inside the burst, park and retire between
 //! bursts). Runs under [`ClockMode::Virtual`], so every reported time
 //! is deterministic model time
@@ -12,7 +13,7 @@
 //!
 //! Self-checking: asserts that both switchless modes perform strictly
 //! fewer charged hardware transitions than classic, and that the
-//! adaptive pool's throughput is not below the fixed pool's (small
+//! adaptive engine's throughput is not below the fixed engine's (small
 //! tolerance for scheduling variation in fallback counts).
 //!
 //! `--quick` shrinks the burst schedule; `--telemetry-out <path>`
@@ -200,7 +201,7 @@ fn main() {
         );
         assert!(
             sw.snap.counter(Counter::SwitchlessCalls) > 0,
-            "{}: switchless pool must serve calls",
+            "{}: the switchless engine must serve calls",
             sw.label
         );
     }
@@ -212,7 +213,7 @@ fn main() {
     );
     assert!(
         adaptive.snap.counter(Counter::SwitchlessWorkerWakes) > 0,
-        "adaptive pool must park and wake between bursts"
+        "adaptive executors must park and wake between bursts"
     );
     println!(
         "\nok: switchless transitions {} (fixed) / {} (adaptive) < classic {}; \

@@ -1,5 +1,5 @@
-//! Switchless-tuning policy comparison: static pool vs PR 2's
-//! miss-driven law vs PR 4's trace-driven controller, over bursty and
+//! Switchless-tuning policy comparison: a static executor pool vs the
+//! miss-driven law vs the trace-driven controller, over bursty and
 //! steady arrivals in the deterministic simulator
 //! ([`experiments::tuning`]).
 //!
@@ -11,8 +11,8 @@
 //!   does not exceed the miss-driven law's, and it demonstrably acted
 //!   (`rmi.switchless_tune_ups > 0`);
 //! - every run reconciles: `rmi.calls == rmi.switchless_calls +
-//!   rmi.switchless_fallbacks`, and the queue-wait histogram holds one
-//!   sample per hit.
+//!   rmi.switchless_fallbacks`, and the task-wait histogram
+//!   (`rmi.sched_task_wait_ns`) holds one sample per hit.
 //!
 //! `--quick` shrinks the schedule; `--telemetry-out <path>` exports
 //! aggregated telemetry plus, per run, `<path>.<workload>.<policy>.json`.
@@ -49,7 +49,7 @@ fn main() {
         let rows: Vec<Vec<String>> = results
             .iter()
             .map(|r| {
-                let wait = r.snapshot.hist(Hist::SwitchlessQueueWaitNs);
+                let wait = r.snapshot.hist(Hist::SchedTaskWaitNs);
                 vec![
                     r.policy.to_owned(),
                     format!("{:.3}", r.total_cost_ns as f64 * 1e-6),
@@ -93,9 +93,9 @@ fn main() {
                 r.policy
             );
             assert_eq!(
-                r.snapshot.hist(Hist::SwitchlessQueueWaitNs).count,
+                r.snapshot.hist(Hist::SchedTaskWaitNs).count,
                 r.hits,
-                "{}/{}: one queue-wait sample per hit",
+                "{}/{}: one task-wait sample per hit",
                 workload.label(),
                 r.policy
             );

@@ -1,5 +1,5 @@
 //! Work-stealing scheduler ablation: tens of thousands of in-flight
-//! crossings, thread-per-worker vs suspendable tasks.
+//! crossings, a thread-per-worker model vs suspendable tasks.
 //!
 //! Two halves, matching what can be measured deterministically:
 //!
@@ -9,8 +9,10 @@
 //!   can serve them, so the in-flight population climbs past 10,000.
 //!   Under [`EngineModel::ThreadPerWorker`] a server stays occupied
 //!   for the *whole* request — serve body plus any nested-crossing
-//!   wait — exactly like PR 2's pool, where a worker thread blocks on
-//!   the nested reply. Under [`EngineModel::WorkStealing`] the server
+//!   wait — as in a thread-per-worker pool, where a worker thread
+//!   blocks on the nested reply (the retired pool engine's design;
+//!   its last real-engine numbers are recorded in
+//!   `docs/SWITCHLESS.md`). Under [`EngineModel::WorkStealing`] the server
 //!   is occupied only for the serve body plus the scheduler's own
 //!   per-task overheads (steal, suspend/resume, priced by the
 //!   `sgx-sim` cost model); the nested wait still elongates the
@@ -18,11 +20,11 @@
 //!   point of suspendable tasks. Everything is integer arithmetic on
 //!   the model clock: byte-identical across runs and hosts, so the
 //!   p95/p99 comparison can be a hard CI gate.
-//! - **The engine runs** ([`run_engine`]) drive the *real* switchless
-//!   engines — thread-per-worker pool and work-stealing scheduler —
-//!   through a nested-crossing program ([`nested_bench_program`])
-//!   under concurrent callers, and check what real threads can
-//!   guarantee: identical response checksums across engines, the
+//! - **The engine runs** ([`run_engine`]) drive classic crossings and
+//!   the *real* work-stealing scheduler through a nested-crossing
+//!   program ([`nested_bench_program`]) under concurrent callers, and
+//!   check what real threads can guarantee: identical response
+//!   checksums across modes, the
 //!   `rmi.calls == hits + fallbacks` reconciliation invariant, and
 //!   live steal/suspend activity (`rmi.sched_steals`,
 //!   `rmi.sched_suspends`).
@@ -55,8 +57,8 @@ pub const SCHED_SEED: u64 = 0x5CED_0001;
 /// Which engine the replay models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineModel {
-    /// PR 2's pool: a worker thread is occupied for the full request,
-    /// nested-crossing wait included.
+    /// Thread-per-worker: a worker thread is occupied for the full
+    /// request, nested-crossing wait included.
     ThreadPerWorker,
     /// The work-stealing scheduler: the executor is occupied for the
     /// serve body plus per-task scheduling overheads; nested waits
@@ -242,8 +244,8 @@ pub fn replay(model: EngineModel, cfg: &ReplayConfig) -> ReplayResult {
 /// The nested-crossing benchmark program: untrusted callers invoke
 /// `@Trusted TNest.ping(x)`, whose body constructs an `@Untrusted
 /// UObj(x)` and reads it back — so every serve performs two *nested*
-/// crossings back out of the enclave, the pattern that blocks a pool
-/// worker thread but merely suspends a scheduler task.
+/// crossings back out of the enclave, the pattern that blocks a
+/// thread-per-worker thread but merely suspends a scheduler task.
 pub fn nested_bench_program() -> Program {
     let uobj = ClassDef::new("UObj")
         .trust(Trust::Untrusted)
@@ -322,7 +324,7 @@ pub fn nested_bench_entries() -> Vec<MethodRef> {
 /// One real-engine run's outcome.
 #[derive(Debug)]
 pub struct EngineRun {
-    /// Mode label (`classic` / `pool` / `scheduler`).
+    /// Mode label (`classic` / `scheduler`).
     pub label: &'static str,
     /// FNV-1a checksum over every `ping` reply, caller-then-call order.
     pub checksum: u64,
@@ -452,7 +454,7 @@ mod tests {
 
     #[test]
     fn nested_bench_echoes_through_real_nested_crossings() {
-        let run = run_engine("pool", Some(SwitchlessConfig::fixed(2)), 2, 6);
+        let run = run_engine("scheduler", Some(SwitchlessConfig::fixed(2)), 2, 6);
         assert_eq!(run.calls, 12);
         assert!(
             run.snap.counter(telemetry::Counter::RmiCalls) > 0,

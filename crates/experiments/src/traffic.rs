@@ -29,13 +29,13 @@
 //! (`traffic.request_latency_ns`, `traffic.service_ns`) and exactly in
 //! [`LaneResult::latencies_ns`] for precise percentiles.
 //!
-//! Four deployment lanes ([`lanes`]) run the identical schedule —
-//! `sim-sgx` classic, `sim-sgx` switchless (thread-per-worker pool),
-//! `passthrough` classic, and `sim-sgx` under the work-stealing
-//! scheduler (see [`montsalvat_core::provider`]) — so one run compares
-//! what SGX costs, what the switchless engine buys back, what the
-//! partitioning machinery costs by itself, and what task scheduling
-//! changes at depth. [`TrafficConfig::max_inflight`] widens the virtual
+//! Three deployment lanes ([`lanes`]) run the identical schedule —
+//! `sim-sgx` classic, `sim-sgx` switchless (the work-stealing
+//! scheduler) and `passthrough` classic (see
+//! [`montsalvat_core::provider`]) — so one run compares what SGX
+//! costs, what the switchless scheduler buys back, and what the
+//! partitioning machinery costs by itself.
+//! [`TrafficConfig::max_inflight`] widens the virtual
 //! replay from one server to `c` (`MONTSALVAT_TRAFFIC_INFLIGHT`); the
 //! default of 1 keeps every historical lane byte-identical. The
 //! `traffic_service` binary turns the results into the
@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use montsalvat_core::class::{ClassDef, MethodDef, MethodKind, MethodRef, Program, CTOR};
 use montsalvat_core::error::VmError;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat_core::exec::switchless::{SchedulerConfig, SwitchlessConfig};
+use montsalvat_core::exec::switchless::SwitchlessConfig;
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::transform::transform;
 use montsalvat_core::{ProviderKind, Trust};
@@ -317,45 +317,24 @@ pub struct LaneSpec {
     pub name: &'static str,
     /// Deployment-mode provider the lane pins.
     pub provider: ProviderKind,
-    /// Whether the adaptive switchless engine serves the crossings.
+    /// Whether the switchless scheduler serves the crossings.
     pub switchless: bool,
-    /// Whether the switchless engine runs the work-stealing task
-    /// scheduler instead of the thread-per-worker pool (implies
-    /// `switchless`).
-    pub scheduler: bool,
 }
 
-/// The four lanes every traffic run compares. The first —
+/// The three lanes every traffic run compares. The first —
 /// `sim-sgx-classic` — is the deterministic lane the latency baseline
-/// gates on; the switchless and scheduler lanes use real executor
-/// threads, so their latencies wobble with host scheduling and only
-/// their crossing *accounting* is gated; the passthrough lane is the
-/// zero-SGX control. Lane order is stable — existing gates index it.
-pub fn lanes() -> [LaneSpec; 4] {
+/// gates on; the switchless lane uses real executor threads, so its
+/// latencies wobble with host scheduling and only its crossing
+/// *accounting* is gated; the passthrough lane is the zero-SGX
+/// control. Lane order is stable — existing gates index it.
+pub fn lanes() -> [LaneSpec; 3] {
     [
-        LaneSpec {
-            name: "sim-sgx-classic",
-            provider: ProviderKind::SimSgx,
-            switchless: false,
-            scheduler: false,
-        },
-        LaneSpec {
-            name: "sim-sgx-switchless",
-            provider: ProviderKind::SimSgx,
-            switchless: true,
-            scheduler: false,
-        },
+        LaneSpec { name: "sim-sgx-classic", provider: ProviderKind::SimSgx, switchless: false },
+        LaneSpec { name: "sim-sgx-switchless", provider: ProviderKind::SimSgx, switchless: true },
         LaneSpec {
             name: "passthrough-classic",
             provider: ProviderKind::PassThrough,
             switchless: false,
-            scheduler: false,
-        },
-        LaneSpec {
-            name: "sim-sgx-scheduler",
-            provider: ProviderKind::SimSgx,
-            switchless: true,
-            scheduler: true,
         },
     ]
 }
@@ -548,10 +527,7 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
         gc_helper_interval: None,
         clock_mode: ClockMode::Virtual,
         provider: Some(spec.provider),
-        switchless: spec.switchless.then(|| SwitchlessConfig {
-            scheduler: spec.scheduler.then(SchedulerConfig::default),
-            ..SwitchlessConfig::default()
-        }),
+        switchless: spec.switchless.then(SwitchlessConfig::default),
         telemetry: Some(Arc::clone(&recorder)),
         collector: cfg.collector,
         ..AppConfig::default()

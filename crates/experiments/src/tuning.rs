@@ -1,26 +1,27 @@
 //! Deterministic switchless-tuning simulator (the `switchless_tuning`
 //! binary's engine).
 //!
-//! Compares scaling policies for the switchless worker pool — static,
-//! PR 2's miss-driven law, and PR 4's trace-driven controller (the
+//! Compares scaling policies for the switchless executor pool —
+//! static, the miss-driven law, and the trace-driven controller (the
 //! *real* [`Tuner`], not a re-implementation) — over synthetic arrival
 //! patterns in pure model time. The simulator is a discrete-time
-//! queueing model of one side of the engine in
+//! queueing model of one side of the scheduler in
 //! `montsalvat_core::exec::switchless`:
 //!
 //! - Time advances in fixed [`TICK_NS`] quanta; there are no threads,
 //!   no wall clocks, and all randomness comes from a seeded LCG, so a
 //!   run is a pure function of its [`SimConfig`] — CI can assert exact
 //!   inequalities on the results with no retries.
-//! - Arrivals post into a bounded mailbox. Overflow takes the classic
+//! - Arrivals post into a bounded injector. Overflow takes the classic
 //!   fallback, charged `switchless_fallback_ns` plus a full crossing
 //!   (`transition_ns + relay_overhead_ns`), exactly the live engine's
 //!   accounting.
-//! - Each resident worker per tick drains up to the batch bound as one
-//!   frame, charging one `switchless_wake_ns` per draining wakeup, a
-//!   frame-header copy, and `switchless_call_ns` per job; queue waits
-//!   (`TICK_NS` per tick spent in the mailbox) count toward total cost
-//!   — a policy cannot look cheap by letting the queue rot.
+//! - Each resident worker per tick grabs up to the steal-batch bound
+//!   as one frame, charging one `switchless_wake_ns` per grabbing
+//!   wakeup, a frame-header copy, and `switchless_call_ns` per task;
+//!   task waits (`TICK_NS` per tick spent queued, recorded in
+//!   `rmi.sched_task_wait_ns`) count toward total cost — a policy
+//!   cannot look cheap by letting the queue rot.
 //! - Idle resident workers charge their park/poll overhead
 //!   (`switchless_wake_ns` amortised over the park interval), so
 //!   shrinking an over-provisioned pool has measurable value.
@@ -40,7 +41,7 @@ use telemetry::{AtomicHistogram, Counter, Gauge, Hist, Recorder, Snapshot};
 /// default thresholds (2× the ~43 µs crossing).
 pub const TICK_NS: u64 = 20_000;
 
-/// Arrival pattern fed to the mailbox, in jobs per tick.
+/// Arrival pattern fed to the injector, in jobs per tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Bursts of `rate` jobs/tick for `burst_ticks`, then quiet for the
@@ -97,16 +98,16 @@ impl Workload {
     }
 }
 
-/// Worker-pool scaling policy under comparison.
+/// Executor-pool scaling policy under comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Policy {
     /// A fixed pool of `min_workers` workers; no scaling at all.
     Static,
-    /// PR 2's law alone: a fallback is a miss, `scale_up_misses`
+    /// The miss law alone: a fallback is a miss, `scale_up_misses`
     /// misses spawn a worker, `idle_park_ticks` idle ticks retire one.
     MissDriven,
-    /// PR 4: the miss law plus the real trace-driven [`Tuner`] closing
-    /// the loop on observed queue-wait quantiles.
+    /// The miss law plus the real trace-driven [`Tuner`] closing the
+    /// loop on observed task-wait quantiles.
     TraceDriven(TunerConfig),
 }
 
@@ -134,10 +135,10 @@ pub struct SimConfig {
     pub min_workers: usize,
     /// Ceiling any policy may grow the pool to.
     pub max_workers: usize,
-    /// Mailbox slots; overflow falls back to a classic crossing.
-    pub mailbox_capacity: usize,
-    /// Initial batch drain bound (the tuner may resize it).
-    pub max_batch: usize,
+    /// Injector slots; overflow falls back to a classic crossing.
+    pub injector_capacity: usize,
+    /// Initial injector grab bound (the tuner may resize it).
+    pub steal_batch: usize,
     /// Misses before the miss law spawns a worker.
     pub scale_up_misses: u64,
     /// Consecutive idle ticks before the miss law retires a worker.
@@ -148,8 +149,8 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The comparison baseline used by the `switchless_tuning` binary:
-    /// 1–8 workers, an 8-slot mailbox, 4-deep batches, PR 2's default
-    /// miss threshold.
+    /// 1–8 workers, an 8-slot injector, 4-deep grabs, the default miss
+    /// threshold.
     pub fn baseline(ticks: u64, workload: Workload, policy: Policy) -> Self {
         SimConfig {
             ticks,
@@ -157,8 +158,8 @@ impl SimConfig {
             policy,
             min_workers: 1,
             max_workers: 8,
-            mailbox_capacity: 8,
-            max_batch: 4,
+            injector_capacity: 8,
+            steal_batch: 4,
             scale_up_misses: 4,
             idle_park_ticks: 8,
             seed: 0x6d6f_6e74,
@@ -175,11 +176,11 @@ pub struct SimResult {
     pub workload: &'static str,
     /// Total model cost: every charge plus every queue-wait ns.
     pub total_cost_ns: u64,
-    /// Of which, time jobs spent queued in the mailbox.
+    /// Of which, time tasks spent queued before an executor took them.
     pub queue_wait_ns: u64,
-    /// Switchless hits (jobs served through the mailbox).
+    /// Switchless hits (tasks admitted to the injector).
     pub hits: u64,
-    /// Classic fallbacks (mailbox overflow).
+    /// Classic fallbacks (injector overflow).
     pub fallbacks: u64,
     /// Trace-driven grow/batch-up decisions applied.
     pub tune_ups: u64,
@@ -208,7 +209,7 @@ impl Lcg {
 /// Runs one policy over one workload in pure model time.
 pub fn simulate(config: &SimConfig, params: &CostParams) -> SimResult {
     let crossing_ns = params.transition_ns() + params.relay_overhead_ns;
-    // A parked worker re-polls its mailbox every park interval; spread
+    // A parked worker re-polls its queue every park interval; spread
     // that wake over the interval as a per-tick idle charge.
     let idle_poll_ns = params.switchless_wake_ns / config.idle_park_ticks.max(1);
     // Batch frames carry a fixed header plus a slot per job (matches
@@ -220,7 +221,7 @@ pub fn simulate(config: &SimConfig, params: &CostParams) -> SimResult {
     let mut queue: VecDeque<u64> = VecDeque::new();
     let mut workers = config.min_workers.max(1);
     let max_workers = config.max_workers.max(workers);
-    let mut batch_target = config.max_batch.max(1);
+    let mut batch_target = config.steal_batch.max(1);
     recorder.gauge_set(Gauge::SwitchlessTargetBatch, batch_target as u64);
 
     let tuner = match &config.policy {
@@ -242,12 +243,12 @@ pub fn simulate(config: &SimConfig, params: &CostParams) -> SimResult {
     let mut idle_ticks = 0u64;
 
     let mut t = 0u64;
-    // Run the schedule, then keep ticking until the mailbox drains.
+    // Run the schedule, then keep ticking until the injector drains.
     while t < config.ticks || !queue.is_empty() {
         let arrivals = if t < config.ticks { config.workload.arrivals(t, rng.next()) } else { 0 };
         for _ in 0..arrivals {
             recorder.add(Counter::RmiCalls, 1);
-            if queue.len() < config.mailbox_capacity {
+            if queue.len() < config.injector_capacity {
                 queue.push_back(t);
                 hits += 1;
                 recorder.add(Counter::SwitchlessCalls, 1);
@@ -279,12 +280,12 @@ pub fn simulate(config: &SimConfig, params: &CostParams) -> SimResult {
                 let posted = queue.pop_front().expect("batch bounded by queue len");
                 let wait = (t - posted) * TICK_NS;
                 wait_hist.record(wait);
-                recorder.record(Hist::SwitchlessQueueWaitNs, wait);
+                recorder.record(Hist::SchedTaskWaitNs, wait);
                 queue_wait_ns += wait;
             }
         }
 
-        // PR 2's miss law (Static parks it entirely).
+        // The miss law (Static parks it entirely).
         if config.policy != Policy::Static {
             if misses >= config.scale_up_misses && workers < max_workers {
                 workers += 1;
@@ -303,7 +304,7 @@ pub fn simulate(config: &SimConfig, params: &CostParams) -> SimResult {
             }
         }
 
-        // PR 4's trace-driven controller, exactly as the engine ticks
+        // The trace-driven controller, exactly as the scheduler ticks
         // it: diff the histograms into a window every `interval_calls`
         // posts, reduce, decide, apply.
         if let Some(tuner) = &tuner {
@@ -401,7 +402,7 @@ mod tests {
                     r.policy,
                     r.workload
                 );
-                assert_eq!(r.snapshot.hist(Hist::SwitchlessQueueWaitNs).count, r.hits);
+                assert_eq!(r.snapshot.hist(Hist::SchedTaskWaitNs).count, r.hits);
             }
         }
     }

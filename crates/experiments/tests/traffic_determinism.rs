@@ -116,17 +116,16 @@ fn gated_lane_is_byte_identical_per_collector_and_checksums_agree_across_them() 
     assert_eq!(checksums[0], checksums[1], "response stream is collector-independent");
 }
 
-/// Seeded scheduler-lane runs are pinned on everything the real
+/// Seeded switchless-lane runs are pinned on everything the real
 /// executor threads cannot wobble: response bytes, hit/miss/put
 /// accounting, and the crossing reconciliation invariant. (Latencies
-/// depend on host scheduling, so they are deliberately not pinned —
-/// same contract as the thread-per-worker switchless lane.)
+/// depend on host scheduling, so they are deliberately not pinned.)
 #[test]
 fn scheduler_lane_pins_checksums_and_reconciles_crossings() {
     let cfg = tiny();
-    let sched = lanes()[3];
-    assert_eq!(sched.name, "sim-sgx-scheduler", "lane order pins the scheduler lane last");
-    assert!(sched.switchless && sched.scheduler, "the lane runs the work-stealing engine");
+    let sched = lanes()[1];
+    assert_eq!(sched.name, "sim-sgx-switchless", "lane order pins the switchless lane second");
+    assert!(sched.switchless, "the lane runs the work-stealing scheduler");
     let a = run_lane(sched, &cfg).expect("first scheduler run");
     let b = run_lane(sched, &cfg).expect("second scheduler run");
     assert_eq!(a.checksum, b.checksum, "scheduler responses are seed-pinned");

@@ -1033,8 +1033,8 @@ fn cross_call(
         // edge-routine marshalling, registry work) on top of whatever the
         // deployment-mode provider charges for the raw crossing (a
         // hardware transition under SimSgx, nothing under PassThrough).
-        // Also the target the adaptive switchless engine degrades to
-        // when its mailbox is full.
+        // Also the target the switchless scheduler degrades to when its
+        // injector is full or a task times out.
         let classic = || -> Result<WireMsg, VmError> {
             app.provider.charge_relay_overhead();
             let serve = || serve_relay(app, &callee, class_name, relay, &msg);
@@ -1048,32 +1048,30 @@ fn cross_call(
         };
 
         // Switchless mode (§7 future work): post to the opposite side's
-        // resident serving capacity — the thread-per-worker pool or the
-        // work-stealing task scheduler — instead of performing a
-        // hardware transition. The engine charges the hand-off on a hit
-        // (the serving side adds the wake, steal and batched boundary
-        // copies) or the failed-probe surcharge on a fallback (full
-        // mailbox/injector or a swept task timeout), which then pays
-        // the classic crossing on top. When this `post` runs *on a
+        // work-stealing task scheduler instead of performing a
+        // hardware transition. The scheduler charges the hand-off on a
+        // hit (the serving side adds the wake, steal and batched
+        // boundary copies) or the failed-probe surcharge on a fallback
+        // (full injector or a swept task timeout), which then pays the
+        // classic crossing on top. When this `post` runs *on a
         // scheduler executor thread* — a nested crossing inside a serve
         // task — the executor suspends the task and serves other tasks
         // instead of blocking here.
-        let engine = app.switchless.lock().clone();
-        let ret_msg = if let Some(engine) = engine {
-            let outcome = engine.post(
+        let scheduler = app.switchless.lock().clone();
+        let ret_msg = if let Some(scheduler) = scheduler {
+            let outcome = scheduler.post(
                 trust,
                 class_name.to_owned(),
                 relay.to_owned(),
                 recv_hash,
                 msg.clone(),
             )?;
-            // Trace-driven autotuning bookkeeping: every completed post
-            // (hit or fallback) advances the tuner's tick counter, and
-            // every `interval_calls` posts the controller re-reads the
-            // queue-wait window and resizes the engine. No-op unless it
-            // was configured with `autotune` (and, for the pool, tracing
-            // is on).
-            engine.maybe_tune(trust);
+            // Autotuning bookkeeping: every completed post (hit or
+            // fallback) advances the tuner's tick counter, and every
+            // `interval_calls` posts the controller re-reads the
+            // task-wait window and resizes the scheduler. No-op unless
+            // it was configured with `autotune`.
+            scheduler.maybe_tune(trust);
             match outcome {
                 PostOutcome::Served(served) => {
                     switchless_hit = true;

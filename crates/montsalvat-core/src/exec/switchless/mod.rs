@@ -7,40 +7,31 @@
 //! opposite side serves it without any hardware transition — the cost
 //! drops to a cache-line hand-off plus the marshalling itself.
 //!
-//! Two serving engines implement the mechanism behind one posting
-//! interface (`SwitchlessEngine`):
+//! The serving engine is the work-stealing task `scheduler`: posted
+//! crossings become suspendable serve `task`s (explicit state machine:
+//! decode → execute → encode → complete) queued on a bounded shared
+//! injector; a small pool of executor threads drains per-executor
+//! local deques first, steals from sibling deques second and grabs
+//! injector batches last. An executor blocked on a nested crossing
+//! *suspends* — it parks the task's state on its stack and serves
+//! other tasks while it waits — so tens of thousands of crossings can
+//! be in flight on a handful of threads. A dedicated `timeout` worker
+//! sweeps overdue tasks into the classic-fallback path, and a full
+//! injector rejects immediately (backpressure) instead of blocking.
+//! Miss-driven scaling sizes the executor pool between `min_workers`
+//! and `max_workers`; the optional [`tuner`] control law, fed by the
+//! always-on task-wait histogram (`rmi.sched_task_wait_ns`), resizes
+//! it and the steal-batch bound.
 //!
-//! - **`engine` — the thread-per-worker pool** (PR 2's adaptive
-//!   engine, the default): per-side worker pools with bounded
-//!   mailboxes, classic fallback on overflow, miss-driven scaling,
-//!   small-batch draining and the optional trace-driven [`tuner`].
-//!   Each posted crossing occupies one OS worker thread until its
-//!   reply is sent — including any time that worker spends blocked on
-//!   a *nested* crossing.
-//! - **`scheduler` — the work-stealing task scheduler**
-//!   ([`SwitchlessConfig::scheduler`] or `MONTSALVAT_SCHEDULER=1`):
-//!   posted crossings become suspendable serve `task`s (explicit
-//!   state machine: decode → execute → encode → complete) queued on a
-//!   bounded shared injector; a small pool of executor threads drains
-//!   per-executor local deques first, steals from sibling deques
-//!   second and grabs injector batches last. An executor blocked on a
-//!   nested crossing *suspends* — it parks the task's state on its
-//!   stack and serves other tasks while it waits — so tens of
-//!   thousands of crossings can be in flight on a handful of threads.
-//!   A dedicated `timeout` worker sweeps overdue tasks into the
-//!   classic-fallback path, and a full injector rejects immediately
-//!   (backpressure) instead of blocking. The same [`tuner`] control
-//!   law drives executor-pool sizing and the steal-batch bound.
-//!
-//! Both engines preserve the accounting invariant the CI bench gates
-//! check: every posted call resolves as exactly one switchless hit
+//! Every posted call resolves as exactly one switchless hit
 //! (`rmi.switchless_calls`) or one classic fallback
-//! (`rmi.switchless_fallbacks`), so `rmi.calls == hits + fallbacks`.
-//! The ablation binaries `switchless_ablation` (pool vs classic) and
-//! `scheduler_ablation` (scheduler vs pool at ≥ 10k in-flight calls)
-//! compare them; `docs/SWITCHLESS.md` documents both designs.
+//! (`rmi.switchless_fallbacks`), so `rmi.calls == hits + fallbacks`
+//! — the invariant the CI bench gates check. The ablation binaries
+//! `switchless_ablation` (engine vs classic) and `scheduler_ablation`
+//! (≥ 10k in-flight calls) exercise it; `docs/SWITCHLESS.md`
+//! documents the design and the retired thread-per-worker pool's last
+//! recorded numbers.
 
-pub(crate) mod engine;
 pub(crate) mod scheduler;
 pub(crate) mod task;
 pub(crate) mod timeout;
@@ -49,7 +40,6 @@ pub mod tuner;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use rmi::hash::ProxyHash;
 use sgx_sim::cost::CostModel;
@@ -60,46 +50,37 @@ use crate::error::VmError;
 use crate::exec::ctx::WireMsg;
 use tuner::{Tuner, TunerConfig};
 
-pub(crate) use engine::SwitchlessPool;
 pub(crate) use scheduler::Scheduler;
 
-/// Configuration of the switchless call machinery (both engines).
+/// Configuration of the switchless call machinery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchlessConfig {
-    /// Resident workers each side keeps even when idle (≥ 1).
+    /// Resident executors each side keeps even when idle (≥ 1).
     pub min_workers: usize,
-    /// Upper bound miss-driven scaling may grow a side's pool to
-    /// (raised to `min_workers` if set lower).
+    /// Upper bound miss-driven scaling may grow a side's executor pool
+    /// to (raised to `min_workers` if set lower).
     pub max_workers: usize,
-    /// Mailbox slots per side; a caller finding all slots taken falls
-    /// back to a classic crossing (≥ 1).
-    pub mailbox_capacity: usize,
-    /// Most queued requests one worker wakeup drains as a single
-    /// batch frame (1 disables batching).
-    pub max_batch: usize,
-    /// Misses (posts that found no idle worker or a full mailbox)
-    /// accumulated before the engine spawns another worker.
+    /// Misses (posts that found no idle executor or a full injector)
+    /// accumulated before the scheduler spawns another executor.
     pub scale_up_misses: u64,
-    /// How long an idle worker parks between mailbox polls; a worker
-    /// idle past this retires if the pool is above `min_workers`.
+    /// How long an idle executor parks between polls; an executor
+    /// idle past this retires if the pool is above its floor.
     pub idle_park: Duration,
     /// Trace-driven feedback controller; `None` (the default) keeps
-    /// PR 2's miss-counter engine as the only scaling mechanism.
+    /// the miss counter as the only scaling mechanism.
     pub autotune: Option<TunerConfig>,
-    /// Work-stealing task scheduler; `None` (the default) keeps the
-    /// thread-per-worker pool. See [`SchedulerConfig`].
+    /// Bounds of the work-stealing scheduler; `None` means
+    /// [`SchedulerConfig::default()`].
     pub scheduler: Option<SchedulerConfig>,
 }
 
 impl Default for SwitchlessConfig {
-    /// The adaptive defaults: scale between 1 and 4 workers per side,
-    /// a 16-slot mailbox, 4-deep batch drain.
+    /// The adaptive defaults: scale between 1 and 4 executors per
+    /// side, default scheduler bounds.
     fn default() -> Self {
         SwitchlessConfig {
             min_workers: 1,
             max_workers: 4,
-            mailbox_capacity: 16,
-            max_batch: 4,
             scale_up_misses: 4,
             idle_park: Duration::from_millis(20),
             autotune: None,
@@ -109,8 +90,8 @@ impl Default for SwitchlessConfig {
 }
 
 impl SwitchlessConfig {
-    /// A fixed pool of `workers` per side: no adaptive scaling, the
-    /// pre-adaptive engine's shape (used as the ablation baseline).
+    /// A fixed pool of `workers` executors per side: no adaptive
+    /// scaling (used as the ablation baseline).
     pub fn fixed(workers: usize) -> Self {
         let workers = workers.max(1);
         SwitchlessConfig { min_workers: workers, max_workers: workers, ..Self::default() }
@@ -120,13 +101,6 @@ impl SwitchlessConfig {
     /// (default [`TunerConfig`]).
     pub fn autotuned() -> Self {
         SwitchlessConfig { autotune: Some(TunerConfig::default()), ..Self::default() }
-    }
-
-    /// The work-stealing task scheduler with default
-    /// [`SchedulerConfig`] bounds (`min_workers`/`max_workers` size
-    /// the executor pool).
-    pub fn scheduled() -> Self {
-        SwitchlessConfig { scheduler: Some(SchedulerConfig::default()), ..Self::default() }
     }
 
     /// Applies the `MONTSALVAT_AUTOTUNE` environment override: `1`
@@ -144,31 +118,14 @@ impl SwitchlessConfig {
         self
     }
 
-    /// Applies the `MONTSALVAT_SCHEDULER` environment override: `1`
-    /// (or `true`/`on`) attaches the default work-stealing scheduler
-    /// if none is configured, `0` (or `false`/`off`) detaches any
-    /// configured scheduler; other values leave the config alone.
-    pub fn with_env_scheduler(mut self) -> Self {
-        match std::env::var("MONTSALVAT_SCHEDULER").ok().as_deref() {
-            Some("1") | Some("true") | Some("on") if self.scheduler.is_none() => {
-                self.scheduler = Some(SchedulerConfig::default());
-            }
-            Some("0") | Some("false") | Some("off") => self.scheduler = None,
-            _ => {}
-        }
-        self
-    }
-
-    /// Clamps the invariants the engines rely on: at least one
-    /// worker, `max_workers ≥ min_workers`, a real mailbox slot and a
-    /// positive batch depth.
+    /// Clamps the invariants the scheduler relies on: at least one
+    /// executor, `max_workers ≥ min_workers`, a positive miss
+    /// threshold and park interval.
     pub(crate) fn normalized(&self) -> Self {
         let min_workers = self.min_workers.max(1);
         SwitchlessConfig {
             min_workers,
             max_workers: self.max_workers.max(min_workers),
-            mailbox_capacity: self.mailbox_capacity.max(1),
-            max_batch: self.max_batch.max(1),
             scale_up_misses: self.scale_up_misses.max(1),
             idle_park: self.idle_park.max(Duration::from_millis(1)),
             autotune: self.autotune.as_ref().map(TunerConfig::normalized),
@@ -177,10 +134,9 @@ impl SwitchlessConfig {
     }
 }
 
-/// Bounds of the work-stealing task scheduler (the second engine; see
-/// the module docs and `docs/SWITCHLESS.md`). Executor-pool sizing
-/// comes from the surrounding [`SwitchlessConfig`]'s
-/// `min_workers`/`max_workers`.
+/// Bounds of the work-stealing task scheduler (see the module docs and
+/// `docs/SWITCHLESS.md`). Executor-pool sizing comes from the
+/// surrounding [`SwitchlessConfig`]'s `min_workers`/`max_workers`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Most tasks queued per side (injector plus local deques) before
@@ -221,54 +177,41 @@ impl SchedulerConfig {
     }
 }
 
-/// The relay dispatcher an engine serves posts with: bound to the
+/// The relay dispatcher the scheduler serves posts with: bound to the
 /// application, it executes `class.relay` on the given side.
 pub(crate) type ServeFn = Arc<
     dyn Fn(Side, &str, &str, Option<ProxyHash>, &WireMsg) -> Result<WireMsg, VmError> + Send + Sync,
 >;
 
-/// One posted request: serve `class.relay` with `msg` in the worker's
-/// world, reply on `reply`.
-pub(crate) struct SwitchlessJob {
-    pub class_name: String,
-    pub relay: String,
-    pub recv_hash: Option<ProxyHash>,
-    pub msg: WireMsg,
-    pub reply: Sender<Result<WireMsg, VmError>>,
-    /// `(model_ns, wall_ns)` at post time when tracing was on, so the
-    /// serving worker can attribute queue wait separately from
-    /// execution; `None` when the post was untraced.
-    pub posted: Option<(u64, u64)>,
-}
-
-/// Outcome of posting a call to an engine.
+/// Outcome of posting a call to the scheduler.
 pub(crate) enum PostOutcome {
-    /// A worker served the call; this is the relay's reply.
+    /// An executor served the call; this is the relay's reply.
     Served(Result<WireMsg, VmError>),
-    /// The engine could not serve the call (full mailbox/injector or a
+    /// The scheduler could not serve the call (full injector or a
     /// swept timeout) — the caller must perform a classic crossing
     /// (the probe charge has already been paid).
     Fallback,
 }
 
-/// Live worker/queue readings for one side of an engine.
+/// Live executor/queue readings for one side of the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SideStats {
-    /// Resident workers (parked + serving).
+    /// Resident executors (parked + serving).
     pub workers: usize,
-    /// Workers currently parked on the mailbox.
+    /// Executors currently parked on (or about to poll) the wake
+    /// channel.
     pub idle: usize,
-    /// Posted jobs not yet picked up by a worker.
+    /// Posted tasks not yet claimed by an executor.
     pub queued: usize,
 }
 
-/// Live readings of both sides of an engine (see
+/// Live readings of both sides of the scheduler (see
 /// [`PartitionedApp::switchless_stats`](crate::exec::app::PartitionedApp::switchless_stats)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SwitchlessStats {
-    /// The enclave-side pool.
+    /// The enclave-side executors.
     pub trusted: SideStats,
-    /// The host-side pool.
+    /// The host-side executors.
     pub untrusted: SideStats,
 }
 
@@ -311,80 +254,6 @@ impl TunerRuntime {
     }
 }
 
-/// The serving engine an application launched: PR 2's thread-per-
-/// worker pool or the work-stealing task scheduler, behind one
-/// post/tune/stats/shutdown surface so `exec::ctx` and `exec::app`
-/// dispatch uniformly.
-#[derive(Clone, Debug)]
-pub(crate) enum SwitchlessEngine {
-    /// Thread-per-worker pool (the default).
-    Pool(Arc<SwitchlessPool>),
-    /// Work-stealing task scheduler.
-    Sched(Arc<Scheduler>),
-}
-
-impl SwitchlessEngine {
-    /// Launches the engine `config` selects: the scheduler when
-    /// [`SwitchlessConfig::scheduler`] is set, the pool otherwise.
-    pub(crate) fn launch(config: &SwitchlessConfig, serve: ServeFn, cost: Arc<CostModel>) -> Self {
-        if config.scheduler.is_some() {
-            SwitchlessEngine::Sched(Arc::new(Scheduler::spawn(config, serve, cost)))
-        } else {
-            SwitchlessEngine::Pool(Arc::new(SwitchlessPool::spawn(config, serve, cost)))
-        }
-    }
-
-    /// Posts a call to `side`. See [`SwitchlessPool::post`] /
-    /// [`Scheduler::post`].
-    pub(crate) fn post(
-        &self,
-        side: Side,
-        class_name: String,
-        relay: String,
-        recv_hash: Option<ProxyHash>,
-        msg: WireMsg,
-    ) -> Result<PostOutcome, VmError> {
-        match self {
-            SwitchlessEngine::Pool(p) => p.post(side, class_name, relay, recv_hash, msg),
-            SwitchlessEngine::Sched(s) => s.post(side, class_name, relay, recv_hash, msg),
-        }
-    }
-
-    /// One tuner bookkeeping step for a call that completed on `side`.
-    pub(crate) fn maybe_tune(&self, side: Side) {
-        match self {
-            SwitchlessEngine::Pool(p) => p.maybe_tune(side),
-            SwitchlessEngine::Sched(s) => s.maybe_tune(side),
-        }
-    }
-
-    /// Live worker/queue readings.
-    pub(crate) fn stats(&self) -> SwitchlessStats {
-        match self {
-            SwitchlessEngine::Pool(p) => p.stats(),
-            SwitchlessEngine::Sched(s) => s.stats(),
-        }
-    }
-
-    /// Stops the engine's threads if this is the last handle; a handle
-    /// still held elsewhere keeps the engine alive (matching the old
-    /// `Arc<SwitchlessPool>` take-and-unwrap shutdown).
-    pub(crate) fn shutdown(self) {
-        match self {
-            SwitchlessEngine::Pool(p) => {
-                if let Ok(pool) = Arc::try_unwrap(p) {
-                    pool.shutdown();
-                }
-            }
-            SwitchlessEngine::Sched(s) => {
-                if let Ok(sched) = Arc::try_unwrap(s) {
-                    sched.shutdown();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,8 +263,6 @@ mod tests {
         let cfg = SwitchlessConfig {
             min_workers: 0,
             max_workers: 0,
-            mailbox_capacity: 0,
-            max_batch: 0,
             scale_up_misses: 0,
             idle_park: Duration::ZERO,
             autotune: Some(TunerConfig {
@@ -414,8 +281,6 @@ mod tests {
         .normalized();
         assert_eq!(cfg.min_workers, 1);
         assert_eq!(cfg.max_workers, 1);
-        assert_eq!(cfg.mailbox_capacity, 1);
-        assert_eq!(cfg.max_batch, 1);
         assert_eq!(cfg.scale_up_misses, 1);
         assert!(cfg.idle_park > Duration::ZERO);
         let tc = cfg.autotune.expect("autotune survives normalization");
@@ -441,14 +306,5 @@ mod tests {
     fn fixed_config_pins_both_bounds() {
         let cfg = SwitchlessConfig::fixed(3);
         assert_eq!((cfg.min_workers, cfg.max_workers), (3, 3));
-    }
-
-    #[test]
-    fn scheduled_config_attaches_the_default_scheduler() {
-        let cfg = SwitchlessConfig::scheduled();
-        assert_eq!(cfg.scheduler, Some(SchedulerConfig::default()));
-        assert_eq!(SwitchlessConfig::default().scheduler, None);
-        assert_eq!(SwitchlessConfig::fixed(2).scheduler, None);
-        assert_eq!(SwitchlessConfig::autotuned().scheduler, None);
     }
 }

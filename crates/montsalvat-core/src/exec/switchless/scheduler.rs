@@ -1,18 +1,19 @@
 //! The work-stealing task scheduler: tens of thousands of in-flight
 //! crossings on a handful of executor threads.
 //!
-//! PR 2's pool (the [`engine`](super::engine) module) holds one OS
-//! worker thread hostage for the full life of every crossing it
-//! serves — including time the relay body spends *blocked on a nested
-//! crossing* — so useful concurrency is capped at `max_workers`. This
-//! engine decouples tasks from threads:
+//! A thread-per-worker design holds one OS thread hostage for the full
+//! life of every crossing it serves — including time the relay body
+//! spends *blocked on a nested crossing* — so useful concurrency is
+//! capped at the thread count. This engine decouples tasks from
+//! threads:
 //!
 //! - **Posted crossings become [`ServeTask`]s** on a per-side bounded
 //!   *injector* queue. A full injector rejects the post into the
 //!   classic-fallback path immediately (backpressure — a poster is
 //!   never blocked on admission).
-//! - **Executors** (sized by `min_workers..=max_workers`, like the
-//!   pool) each own a local deque. Work is found in strict order:
+//! - **Executors** (sized by `min_workers..=max_workers`, grown on
+//!   miss pressure, retired after an idle park) each own a local
+//!   deque. Work is found in strict order:
 //!   own deque (LIFO, locality) → steal a sibling's oldest task
 //!   (FIFO, charged [`CostParams::sched_steal_ns`]) → grab a batch
 //!   from the injector, serving the first task and parking the
@@ -29,9 +30,10 @@
 //!   [`SchedulerConfig::task_timeout`] into the classic-fallback path
 //!   (counted `rmi.sched_timeouts`), so a stalled executor pool can
 //!   never strand a poster.
-//! - **Tuning**: the same [`tuner`](super::tuner) control law that
-//!   sizes the pool's workers sizes the executor pool and retunes the
-//!   injector grab bound (`target_batch` → the steal batch).
+//! - **Tuning**: the optional [`tuner`](super::tuner) control law
+//!   sizes the executor pool and retunes the injector grab bound
+//!   (`target_batch` → the steal batch) from the always-on task-wait
+//!   histogram.
 //!
 //! Every post resolves exactly once — served hit or classic fallback —
 //! enforced by the task claim protocol (see [`task`](super::task)),
@@ -293,7 +295,11 @@ impl Scheduler {
         }
         // Backpressure: a full injector rejects immediately. The
         // classic path degrades gracefully; blocking here would not.
-        if state.queued.load(Ordering::Relaxed) >= self.sched.injector_capacity {
+        // Admission reserves the slot atomically, so concurrent posters
+        // can never push the queue past `injector_capacity`.
+        let queued = state.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        if queued > self.sched.injector_capacity {
+            state.queued.fetch_sub(1, Ordering::Relaxed);
             recorder.incr(telemetry::Counter::SwitchlessFallbacks);
             recorder.incr(telemetry::Counter::SwitchlessMisses);
             state.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -308,12 +314,10 @@ impl Scheduler {
         let posted = tracer.is_enabled().then(|| (now, tracer.wall_now_ns()));
         let task =
             Arc::new(ServeTask::new(class_name, relay, recv_hash, msg, reply_tx, posted, now));
-        state.queued.fetch_add(1, Ordering::Relaxed);
         let inflight = state.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         recorder.gauge_set(telemetry::Gauge::SchedInflight, inflight as u64);
-        let queued = state.queued.load(Ordering::Relaxed) as u64;
-        recorder.gauge_max(telemetry::Gauge::SwitchlessQueueDepthPeak, queued);
-        recorder.gauge_set(telemetry::Gauge::SwitchlessQueueDepth, queued);
+        recorder.gauge_max(telemetry::Gauge::SwitchlessQueueDepthPeak, queued as u64);
+        recorder.gauge_set(telemetry::Gauge::SwitchlessQueueDepth, queued as u64);
         state
             .timeouts
             .lock()
@@ -335,7 +339,7 @@ impl Scheduler {
     }
 
     /// Waits for a posted task's completion. A plain thread blocks on
-    /// the reply channel (exactly like the pool). An *executor* thread
+    /// the reply channel. An *executor* thread
     /// instead suspends: the pending task's state stays parked on this
     /// stack while the thread serves other tasks of its home side,
     /// checking for the reply between tasks.
@@ -380,10 +384,9 @@ impl Scheduler {
     }
 
     /// One tuner bookkeeping step for a call that just completed on
-    /// `side`. Cheap no-op unless autotuning is configured. Unlike the
-    /// pool (whose queue waits exist only under tracing), the
-    /// scheduler records task waits unconditionally, so the controller
-    /// is live with tracing off too.
+    /// `side`. Cheap no-op unless autotuning is configured. Task waits
+    /// are recorded unconditionally, so the controller is live with
+    /// tracing off too.
     pub(crate) fn maybe_tune(&self, side: Side) {
         let Some(rt) = &self.tuner else { return };
         let state = self.side(side);
@@ -619,6 +622,19 @@ fn executor_loop(
                         retired = true;
                         break;
                     }
+                    // The tuner only ticks on posts, so once the load
+                    // stops it can never shrink its target again. An
+                    // idle park is that missing idle signal: decay the
+                    // target one step, and a grown pool drains back
+                    // to `min_workers` instead of staying pinned.
+                    if floor > config.min_workers {
+                        let _ = state.tuner_target.compare_exchange(
+                            floor,
+                            floor - 1,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        );
+                    }
                     parked = true;
                 }
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -680,9 +696,9 @@ fn next_task(state: &Arc<SchedSide>, slot: usize, cost: &Arc<CostModel>) -> Opti
     if grabbed.is_empty() {
         return None;
     }
-    // The whole grab crosses as one batch frame, exactly like the
-    // pool's mailbox drain: one header, then each request's wire
-    // bytes (traced frames carry the context per payload).
+    // The whole grab crosses as one batch frame: one header, then
+    // each request's wire bytes (traced frames carry the context per
+    // payload).
     let recorder = cost.recorder();
     recorder.record(telemetry::Hist::SwitchlessBatchJobs, grabbed.len() as u64);
     state.batch_hist.record(grabbed.len() as u64);
@@ -801,6 +817,77 @@ mod tests {
         }
         assert_eq!(sched.stats().trusted.queued, 0);
         sched.shutdown();
+    }
+
+    /// Miss pressure spawns executors up to `max_workers` and never
+    /// beyond; once the load is gone, idle executors retire back to
+    /// `min_workers` and no further.
+    #[test]
+    fn miss_pressure_scales_up_and_idleness_scales_down() {
+        let cost = model();
+        let entered = Arc::new(AtomicUsize::new(0));
+        let (release_tx, release_rx) = bounded::<()>(64);
+        let config = SwitchlessConfig {
+            min_workers: 1,
+            max_workers: 3,
+            scale_up_misses: 1,
+            idle_park: Duration::from_millis(5),
+            scheduler: Some(SchedulerConfig {
+                injector_capacity: 1,
+                steal_batch: 1,
+                ..SchedulerConfig::default()
+            }),
+            ..SwitchlessConfig::default()
+        };
+        let sched = Arc::new(Scheduler::spawn(
+            &config,
+            gated_serve(Arc::clone(&entered), release_rx),
+            Arc::clone(&cost),
+        ));
+        assert_eq!(sched.stats().untrusted.workers, 1);
+
+        // Hold executors busy and keep posting: misses must spawn more
+        // executors, but never beyond max_workers. The scale-up counter
+        // is monotone, so waiting on it (rather than on the live
+        // executor count, which may already be shrinking again) is
+        // race-free.
+        let mut posters = Vec::new();
+        for _ in 0..6 {
+            let sched = Arc::clone(&sched);
+            posters.push(std::thread::spawn(move || {
+                sched.post(Side::Untrusted, "C".into(), "r".into(), None, msg()).unwrap();
+            }));
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cost.recorder().counter(telemetry::Counter::SwitchlessScaleUps) < 2 {
+            assert!(Instant::now() < deadline, "scale-up never happened");
+            std::thread::yield_now();
+        }
+        let peak = cost.recorder().gauge(telemetry::Gauge::SwitchlessWorkersPeak);
+        assert!(peak <= config.max_workers as u64, "peak {peak} beyond max");
+        assert!(sched.stats().untrusted.workers <= config.max_workers);
+
+        for _ in 0..16 {
+            let _ = release_tx.send(());
+        }
+        for p in posters {
+            // Some posts fell back (injector full) — both outcomes end.
+            p.join().unwrap();
+        }
+
+        // With the load gone, the pool must shrink back to min_workers
+        // and no further.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sched.stats().untrusted.workers > config.min_workers {
+            assert!(Instant::now() < deadline, "scale-down never happened");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(sched.stats().untrusted.workers, config.min_workers);
+        assert!(cost.recorder().counter(telemetry::Counter::SwitchlessScaleDowns) >= 1);
+        match Arc::try_unwrap(sched) {
+            Ok(sched) => sched.shutdown(),
+            Err(_) => panic!("no other scheduler handles remain"),
+        }
     }
 
     /// White-box steal order: an executor with an empty local deque

@@ -19,7 +19,7 @@
 //!   serve call and `exec::ctx::serve_relay_inner` advances it at the
 //!   unmarshal/dispatch/marshal boundaries via [`note_stage`], which
 //!   resolves the current task through a thread-local — a no-op on
-//!   classic crossings and pool workers. When the executing body
+//!   classic crossings. When the executing body
 //!   performs a *nested* crossing, the task's state stays parked in
 //!   the `Execute` stage on the executor's stack while the executor
 //!   serves other tasks (see `Scheduler::wait_for_completion`).
@@ -169,8 +169,8 @@ pub(crate) fn with_current_task<R>(task: &Arc<ServeTask>, f: impl FnOnce() -> R)
 }
 
 /// Advances the current task's lifecycle stage, if the calling thread
-/// is serving one. Classic crossings and pool workers have no current
-/// task, so this is free for them.
+/// is serving one. Classic crossings have no current task, so this is
+/// free for them.
 pub(crate) fn note_stage(stage: TaskStage) {
     CURRENT_TASK.with(|c| {
         if let Some(task) = c.borrow().last() {

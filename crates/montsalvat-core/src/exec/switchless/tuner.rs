@@ -1,14 +1,15 @@
-//! Trace-driven feedback controller for the switchless engine.
+//! Trace-driven feedback controller for the switchless scheduler.
 //!
-//! PR 2's adaptive engine scales workers from a blunt miss counter: a
-//! post that finds no idle worker is a miss, and enough misses spawn a
-//! worker. The tracing layer has since started recording the *exact*
-//! queue-wait distribution (`rmi.switchless_queue_wait_ns`, cat-`queue`
-//! spans), so the controller here closes the loop on that signal
-//! instead: it periodically diffs the per-side queue-wait and
-//! batch-size histograms into a window, reduces the window to an
-//! [`Observation`], and derives a [`Decision`] from observed wait
-//! quantiles measured against the modeled cost of a classic crossing.
+//! The scheduler's baseline scaling is a blunt miss counter: a post
+//! that finds no idle executor is a miss, and enough misses spawn an
+//! executor. The scheduler also records the *exact* task-wait
+//! distribution on every served post (`rmi.sched_task_wait_ns`, plus
+//! cat-`queue` `task-wait:` spans under tracing), so the controller
+//! here closes the loop on that signal instead: it periodically diffs
+//! the per-side task-wait and injector-grab histograms into a window,
+//! reduces the window to an [`Observation`], and derives a
+//! [`Decision`] from observed wait quantiles measured against the
+//! modeled cost of a classic crossing.
 //!
 //! The control law (documented in `docs/SWITCHLESS.md`):
 //!
@@ -16,21 +17,21 @@
 //!   wait exceeds [`TunerConfig::up_wait_pct`] percent of the crossing
 //!   cost — queueing is costing more than the transitions the engine
 //!   exists to avoid.
-//! - **Shrink batches** when waits are high but the pool is already at
-//!   `max_workers` and drains are batching (`mean_batch > 1`): the
-//!   wait is dominated by batching delay, so halve the drain bound.
+//! - **Shrink batches** when waits are high but the executor pool is
+//!   already at `max_workers` and injector grabs are batching
+//!   (`mean_batch > 1`): the wait is dominated by batching delay, so
+//!   halve the grab bound.
 //! - **Shrink workers** when the p95 wait falls below
 //!   [`TunerConfig::down_wait_pct`] percent of the crossing cost with
 //!   no fallbacks — capacity is idle.
-//! - **Grow batches** when waits are low and workers drain full
+//! - **Grow batches** when waits are low and executors grab full
 //!   batches (`mean_batch ≈ max_batch`): raising the bound amortises
 //!   the wake and frame header further, up to
 //!   [`TunerConfig::batch_limit`].
 //! - **Hold** when the window has fewer than
-//!   [`TunerConfig::min_samples`] observations — with tracing
-//!   disabled no queue waits are recorded at all, so the tuner never
-//!   acts and the PR 2 miss-counter path (still wired in the engine's
-//!   pool) remains the only scaling mechanism.
+//!   [`TunerConfig::min_samples`] observations — too few posts
+//!   completed to judge, so the miss counter stays the only scaling
+//!   mechanism until the window fills.
 //!
 //! The controller itself is pure: [`Tuner::decide`] maps an
 //! observation to a decision with no clocks, threads or atomics, and
@@ -40,8 +41,8 @@
 
 use telemetry::{AtomicHistogram, HistogramSnapshot};
 
-/// Configuration of the trace-driven tuner (attached to a pool via
-/// [`super::SwitchlessConfig::autotune`]).
+/// Configuration of the trace-driven tuner (attached to the scheduler
+/// via [`super::SwitchlessConfig::autotune`]).
 ///
 /// All thresholds are integers so the containing config keeps its
 /// `Eq` derive; percentages are relative to the modeled classic
@@ -100,15 +101,16 @@ pub struct Observation {
     pub wait_p50_ns: u64,
     /// 95th-percentile queue wait in the window (model ns).
     pub wait_p95_ns: u64,
-    /// Queue-wait observations in the window (0 when tracing is off).
+    /// Task-wait observations in the window.
     pub samples: u64,
-    /// Mean jobs drained per worker wakeup in the window.
+    /// Mean tasks grabbed per injector visit in the window.
     pub mean_batch: f64,
-    /// Classic fallbacks (mailbox full) in the window.
+    /// Classic fallbacks (full injector or swept timeout) in the
+    /// window.
     pub fallbacks: u64,
     /// Resident workers on the observed side at tick time.
     pub workers: usize,
-    /// Batch drain bound in force during the window.
+    /// Injector grab bound in force during the window.
     pub max_batch: usize,
 }
 
@@ -230,9 +232,8 @@ impl Tuner {
             reason: "steady",
         };
         if obs.samples < self.config.min_samples {
-            // Too sparse to act on — and with tracing disabled this is
-            // every window, which is what keeps the tuner inert and
-            // the miss-counter engine authoritative.
+            // Too sparse to act on: the miss counter stays the only
+            // scaling mechanism until the window fills.
             decision.reason = "insufficient-samples";
             return decision;
         }

@@ -157,7 +157,8 @@ pub struct WorldStatsSnapshot {
     /// Subset of `rmi_calls` served switchlessly (no transition).
     pub switchless_calls: u64,
     /// Subset of `rmi_calls` that attempted a switchless post, found
-    /// the mailbox full and fell back to a classic crossing.
+    /// the injector full (or was swept by the task timeout) and fell
+    /// back to a classic crossing.
     pub switchless_fallbacks: u64,
     /// Bytes serialized for crossings initiated from this world.
     pub bytes_serialized: u64,
@@ -184,8 +185,8 @@ impl WorldStats {
         }
     }
 
-    /// No recorder mirror here: the switchless engine already counts
-    /// `rmi.switchless_fallbacks` at the mailbox probe that failed.
+    /// No recorder mirror here: the switchless scheduler already counts
+    /// `rmi.switchless_fallbacks` at the rejected post or the sweep.
     pub(crate) fn count_switchless_fallback(&self) {
         self.switchless_fallbacks.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,5 +1,6 @@
-//! Tests for the *adaptive* switchless engine: bounded-mailbox classic
-//! fallback, miss-driven scaling, and the worker-count invariants.
+//! Tests for the *adaptive* switchless scheduler: bounded-injector
+//! classic fallback, miss-driven scaling, and the executor-count
+//! invariants.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -7,7 +8,7 @@ use std::time::{Duration, Instant};
 use montsalvat_core::annotation::Side;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::exec::switchless::tuner::TunerConfig;
-use montsalvat_core::exec::switchless::SwitchlessConfig;
+use montsalvat_core::exec::switchless::{SchedulerConfig, SwitchlessConfig};
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::samples::bank_program;
 use montsalvat_core::transform::transform;
@@ -48,17 +49,20 @@ fn run_bank(app: &PartitionedApp) -> Value {
     .unwrap()
 }
 
-/// A single worker behind a one-slot mailbox, saturated by concurrent
-/// callers: some posts must find the mailbox full, fall back to classic
-/// crossings (real transitions), and be counted as fallbacks — while
-/// every call still returns the right answer.
+/// Injector bounds for the saturation tests: `capacity` slots per
+/// side, one task per grab.
+fn injector(capacity: usize) -> Option<SchedulerConfig> {
+    Some(SchedulerConfig { injector_capacity: capacity, steal_batch: 1, ..Default::default() })
+}
+
+/// A single executor behind a one-slot injector, saturated by
+/// concurrent callers: some posts must find the injector full, fall
+/// back to classic crossings (real transitions), and be counted as
+/// fallbacks — while every call still returns the right answer.
 #[test]
 fn saturating_one_worker_falls_back_to_classic_and_counts_it() {
-    let app = Arc::new(launch(SwitchlessConfig {
-        mailbox_capacity: 1,
-        max_batch: 1,
-        ..SwitchlessConfig::fixed(1)
-    }));
+    let app =
+        Arc::new(launch(SwitchlessConfig { scheduler: injector(1), ..SwitchlessConfig::fixed(1) }));
     let mut handles = Vec::new();
     for _ in 0..8 {
         let app = Arc::clone(&app);
@@ -75,7 +79,7 @@ fn saturating_one_worker_falls_back_to_classic_and_counts_it() {
     let world = app.world_stats(Side::Untrusted);
     assert!(
         world.switchless_fallbacks > 0,
-        "8 callers against 1 worker and 1 mailbox slot must overflow: {world:?}"
+        "8 callers against 1 executor and 1 injector slot must overflow: {world:?}"
     );
     // Every crossing is exactly one of: switchless hit, classic fallback.
     assert_eq!(world.rmi_calls, world.switchless_calls + world.switchless_fallbacks);
@@ -91,16 +95,17 @@ fn saturating_one_worker_falls_back_to_classic_and_counts_it() {
     assert!(snap.counter(telemetry::Counter::SwitchlessMisses) >= world.switchless_fallbacks);
 }
 
-/// Adaptive scaling under real load: worker wakes and (under pressure)
-/// scale-ups are visible in telemetry, and the queue-depth gauge never
-/// reports beyond the configured mailbox capacity.
+/// Adaptive scaling under real load: executor wakes and (under
+/// pressure) scale-ups are visible in telemetry, and the queue-depth
+/// gauge never reports beyond the configured injector capacity.
 #[test]
 fn adaptive_engine_reports_wakes_and_bounded_queue_depth() {
+    let capacity = 4;
     let config = SwitchlessConfig {
         min_workers: 1,
         max_workers: 4,
-        mailbox_capacity: 4,
         scale_up_misses: 2,
+        scheduler: injector(capacity),
         ..SwitchlessConfig::default()
     };
     let app = Arc::new(launch(config.clone()));
@@ -119,12 +124,9 @@ fn adaptive_engine_reports_wakes_and_bounded_queue_depth() {
     let snap = app.telemetry_snapshot();
     assert!(snap.counter(telemetry::Counter::SwitchlessWorkerWakes) > 0);
     let peak_depth = snap.gauge(telemetry::Gauge::SwitchlessQueueDepthPeak);
-    // `queued` is incremented before the mailbox probe, so the gauge may
-    // observe the one in-flight probe on top of a full mailbox.
     assert!(
-        peak_depth <= config.mailbox_capacity as u64 + 1,
-        "queue depth {peak_depth} beyond capacity {}",
-        config.mailbox_capacity
+        (1..=capacity as u64).contains(&peak_depth),
+        "queue depth {peak_depth} outside [1, capacity {capacity}]"
     );
     let peak_workers = snap.gauge(telemetry::Gauge::SwitchlessWorkersPeak);
     assert!(
@@ -133,14 +135,15 @@ fn adaptive_engine_reports_wakes_and_bounded_queue_depth() {
     );
 }
 
-/// Regression (PR 4): the crossing accounting must survive the tuner
-/// actively resizing pools. An aggressively-configured trace-driven
+/// Regression: the crossing accounting must survive the tuner actively
+/// resizing the executor pool. An aggressively-configured trace-driven
 /// tuner (tick every 2 posts, act on 1 sample, grow on any wait above
-/// ~1% of a crossing) with the miss engine effectively disabled is
+/// ~1% of a crossing) with the miss counter effectively disabled is
 /// driven until it records decisions — then every crossing must still
-/// be exactly one hit or one fallback, the queue-wait histogram must
-/// hold exactly one sample per hit (every post was traced), and the
-/// worker count must stay inside its configured bounds throughout.
+/// be exactly one hit or one fallback, the task-wait histogram and the
+/// `task-wait:` spans must each hold exactly one entry per hit (every
+/// post was traced), and the executor count must stay inside its
+/// configured bounds throughout.
 #[test]
 fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
     let tracer = telemetry::trace::Tracer::new();
@@ -148,8 +151,8 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
     let config = SwitchlessConfig {
         min_workers: 1,
         max_workers: 4,
-        mailbox_capacity: 2,
-        // Park the miss engine so observed scaling is the tuner's.
+        scheduler: injector(2),
+        // Park the miss counter so observed scaling is the tuner's.
         scale_up_misses: 1_000_000,
         idle_park: Duration::from_millis(5),
         autotune: Some(TunerConfig {
@@ -158,7 +161,6 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
             up_wait_pct: 1,
             ..TunerConfig::default()
         }),
-        ..SwitchlessConfig::default()
     };
     let tp = transform(&bank_program());
     let options = ImageOptions::with_entry_points(entries());
@@ -213,13 +215,24 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
             "{side}: crossing accounting broke under tuner resizing"
         );
     }
-    // Queue-wait reconciliation: the tracer was on for every post, so
-    // each served (hit) job recorded exactly one wait sample.
+    // Task-wait reconciliation: the tracer was on for every post, so
+    // each served (hit) task recorded exactly one wait sample and one
+    // `task-wait:` span.
+    let hits = snap.counter(telemetry::Counter::SwitchlessCalls);
     assert_eq!(
-        snap.hist(telemetry::Hist::SwitchlessQueueWaitNs).count,
-        snap.counter(telemetry::Counter::SwitchlessCalls),
-        "one queue-wait sample per traced switchless hit"
+        snap.hist(telemetry::Hist::SchedTaskWaitNs).count,
+        hits,
+        "one task-wait sample per switchless hit"
     );
+    let json = tracer.to_chrome_json(&[]);
+    let parsed = telemetry::trace::parse_chrome_trace(&json).unwrap();
+    assert_eq!(parsed.other("dropped"), Some(0), "nothing dropped at this capacity");
+    let wait_spans = parsed
+        .events
+        .iter()
+        .filter(|e| e.ph == 'B' && e.cat == "queue" && e.name.starts_with("task-wait:"))
+        .count() as u64;
+    assert_eq!(wait_spans, hits, "one task-wait span per traced switchless hit");
     // The decisions are visible downstream: counters and the
     // last-value batch gauge stay within the tuner's bounds.
     let target = snap.gauge(telemetry::Gauge::SwitchlessTargetBatch);
@@ -232,21 +245,21 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Whatever the configuration and load, the live worker count of
+    /// Whatever the configuration and load, the live executor count of
     /// each side never exceeds `max_workers` nor drops below
     /// `min_workers` — sampled continuously while callers hammer the
-    /// engine, and after the load drains.
+    /// scheduler, and after the load drains.
     #[test]
     fn worker_count_stays_within_configured_bounds(
         min_workers in 1usize..3,
         extra in 0usize..3,
-        mailbox_capacity in 1usize..5,
+        injector_capacity in 1usize..5,
         callers in 2usize..5,
     ) {
         let config = SwitchlessConfig {
             min_workers,
             max_workers: min_workers + extra,
-            mailbox_capacity,
+            scheduler: injector(injector_capacity),
             scale_up_misses: 1,
             idle_park: Duration::from_millis(5),
             ..SwitchlessConfig::default()

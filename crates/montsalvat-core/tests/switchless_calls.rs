@@ -2,13 +2,17 @@
 //! §7 future-work item. Results must be identical to classic crossings;
 //! the transition counters and the model cost must differ.
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use montsalvat_core::annotation::Side;
+use montsalvat_core::class::{ClassDef, MethodDef, MethodKind, Program};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::exec::switchless::SwitchlessConfig;
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::samples::bank_program;
 use montsalvat_core::transform::transform;
-use montsalvat_core::MethodRef;
+use montsalvat_core::{MethodRef, Trust};
 use runtime_sim::value::Value;
 
 fn entries() -> Vec<MethodRef> {
@@ -124,5 +128,68 @@ fn switchless_handles_concurrent_callers() {
     }
     for h in handles {
         h.join().unwrap();
+    }
+}
+
+/// A trusted native static that panics when its argument is 1 and
+/// echoes it otherwise, called from an untrusted `main`.
+fn faulty_program() -> Program {
+    let faulty = ClassDef::new("Faulty").trust(Trust::Trusted).method(MethodDef::native(
+        "check",
+        MethodKind::Static,
+        1,
+        vec![],
+        Arc::new(|_ctx, _this, args: &[Value]| match &args[0] {
+            Value::Int(1) => panic!("injected relay panic"),
+            other => Ok(other.clone()),
+        }),
+    ));
+    let main = ClassDef::new("Main").trust(Trust::Untrusted).method(MethodDef::interpreted(
+        "main",
+        MethodKind::Static,
+        0,
+        0,
+        vec![],
+    ));
+    Program::new(vec![faulty, main], MethodRef::new("Main", "main")).unwrap()
+}
+
+/// Regression: a `@Trusted` relay that panics on the single switchless
+/// executor must not hang the next caller. The panicking call returns
+/// an error, and four follow-up calls all return `Ok` within a 10 s
+/// watchdog (they may fall back to classic crossings). The calls run on
+/// a helper thread; the test waits on a channel with a deadline, never
+/// unbounded.
+#[test]
+fn relay_panic_does_not_hang_the_next_switchless_calls() {
+    let tp = transform(&faulty_program());
+    let options = ImageOptions::with_entry_points(vec![
+        MethodRef::new("Faulty", "check"),
+        MethodRef::new("Main", "main"),
+    ]);
+    let (t, u) = build_partitioned_images(&tp, &options, &options).unwrap();
+    let config = AppConfig {
+        gc_helper_interval: None,
+        switchless: Some(SwitchlessConfig::fixed(1)),
+        ..AppConfig::default()
+    };
+    let app = Arc::new(PartitionedApp::launch(&t, &u, config).unwrap());
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let caller = Arc::clone(&app);
+    std::thread::spawn(move || {
+        let call = |x: i64| {
+            caller.enter_untrusted(|ctx| ctx.call_static("Faulty", "check", &[Value::Int(x)]))
+        };
+        let _ = tx.send(("panicking call", call(1).is_err()));
+        for x in 2..6 {
+            let _ = tx.send(("follow-up call", matches!(call(x), Ok(Value::Int(y)) if y == x)));
+        }
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    for _ in 0..5 {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        let (what, ok) = rx.recv_timeout(left).expect("a call hung past the 10 s watchdog");
+        assert!(ok, "{what} returned the wrong result");
     }
 }

@@ -94,17 +94,17 @@ pub struct CostParams {
     pub epc_fault_ns: u64,
     /// EPC page size in bytes.
     pub epc_page_bytes: u64,
-    /// Cost of one *switchless* call hand-off (worker mailbox,
+    /// Cost of one *switchless* call hand-off (injector push,
     /// cache-line ping-pong; no hardware transition) — Tian et al.,
     /// SysTEX'18.
     pub switchless_call_ns: u64,
-    /// Cost of waking one parked switchless worker (futex/condvar
-    /// wake plus the scheduler hop before it picks the job up). Paid
-    /// once per worker wakeup; the batch drain amortises it across
-    /// every job served by that wakeup.
+    /// Cost of waking one parked switchless executor (futex/condvar
+    /// wake plus the scheduler hop before it picks the task up). Paid
+    /// once per executor wakeup; the tasks it serves before parking
+    /// again share it.
     pub switchless_wake_ns: u64,
-    /// Cost of a *failed* switchless probe: testing the mailbox,
-    /// finding it full and deciding to fall back. The falling-back
+    /// Cost of a *failed* switchless probe: testing the injector,
+    /// finding it full (or the task swept) and deciding to fall back. The falling-back
     /// caller then additionally pays the full classic crossing
     /// (transition + relay), so a fallback is always strictly more
     /// expensive than a plain classic call.

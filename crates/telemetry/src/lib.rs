@@ -134,10 +134,11 @@ metric_enum! {
         HeapAllocObjects => ("gc.alloc_objects", "objects"),
         /// Classic (relay-based) cross-world RMI invocations.
         RmiCalls => ("rmi.calls", "calls"),
-        /// RMI invocations served by switchless worker pools (hits).
+        /// RMI invocations served by the switchless scheduler (hits).
         SwitchlessCalls => ("rmi.switchless_calls", "calls"),
-        /// Switchless posts that found the mailbox full and fell back
-        /// to a classic EENTER/EEXIT crossing.
+        /// Switchless posts that found the injector full (or were
+        /// swept by the task timeout) and fell back to a classic
+        /// EENTER/EEXIT crossing.
         SwitchlessFallbacks => ("rmi.switchless_fallbacks", "calls"),
         /// Switchless posts that found no idle worker (pressure signal
         /// driving adaptive scale-up; the call may still be a hit).
@@ -230,11 +231,12 @@ metric_enum! {
         EpcResidentPeak => ("sgx.epc_resident_peak", "bytes"),
         /// Peak resident switchless workers on one side.
         SwitchlessWorkersPeak => ("rmi.switchless_workers_peak", "workers"),
-        /// Peak queued jobs observed in a switchless mailbox.
+        /// Peak queued tasks observed on one side of the switchless
+        /// scheduler (injector plus local deques).
         SwitchlessQueueDepthPeak => ("rmi.switchless_queue_depth_peak", "jobs"),
-        /// Most recent per-drain batch bound chosen by the tuner
+        /// Most recent injector grab bound chosen by the tuner
         /// (last-value, via [`Recorder::gauge_set`]; equals the
-        /// configured `max_batch` until the tuner changes it).
+        /// configured `steal_batch` until the tuner changes it).
         SwitchlessTargetBatch => ("rmi.switchless_target_batch", "jobs"),
         /// Current EPC-resident bytes committed by an enclave
         /// (last-value, via [`Recorder::gauge_set`]; the per-window
@@ -248,7 +250,7 @@ metric_enum! {
         /// (last-value; the per-window level behind
         /// [`SwitchlessWorkersPeak`](Gauge::SwitchlessWorkersPeak)).
         SwitchlessWorkers => ("rmi.switchless_workers", "workers"),
-        /// Most recently observed switchless mailbox depth
+        /// Most recently observed switchless queue depth
         /// (last-value; the per-window level behind
         /// [`SwitchlessQueueDepthPeak`](Gauge::SwitchlessQueueDepthPeak)).
         SwitchlessQueueDepth => ("rmi.switchless_queue_depth", "jobs"),
@@ -261,8 +263,8 @@ metric_enum! {
         /// only).
         GcBlocksFree => ("gc.blocks_free", "blocks"),
         /// Posted-but-uncompleted scheduler tasks on one side
-        /// (last-value; work-stealing engine only — counts tasks
-        /// queued, executing or suspended on a nested crossing).
+        /// (last-value; counts tasks queued, executing or suspended on
+        /// a nested crossing).
         SchedInflight => ("rmi.sched_inflight", "tasks"),
     }
 }
@@ -281,10 +283,6 @@ metric_enum! {
         RmiCallNs => ("rmi.call_ns", "model_ns"),
         /// Model nanoseconds charged per switchless RMI call.
         SwitchlessCallNs => ("rmi.switchless_call_ns", "model_ns"),
-        /// Model nanoseconds a switchless job waited in the mailbox
-        /// before a worker picked it up (queue wait, excluded from
-        /// execution time).
-        SwitchlessQueueWaitNs => ("rmi.switchless_queue_wait_ns", "model_ns"),
         /// Wire bytes per enclave-boundary crossing.
         CrossingBytes => ("sgx.crossing_bytes", "bytes"),
         /// Wall-clock nanoseconds per stop-and-copy collection.
@@ -300,7 +298,8 @@ metric_enum! {
         /// Recorded only when the heap owner lends a charge clock
         /// (applications do); deterministic under `ClockMode::Virtual`.
         GcPauseModelNs => ("gc.pause_model_ns", "model_ns"),
-        /// Jobs served per switchless worker wakeup (batch drain size).
+        /// Tasks grabbed per injector visit of a switchless executor
+        /// (batch size; one frame per grab).
         SwitchlessBatchJobs => ("rmi.switchless_batch_jobs", "jobs"),
         /// Model nanoseconds charged per classic (v1) payload encode.
         SerdeEncodeClassicNs => ("serde.encode_classic_ns", "model_ns"),
@@ -314,9 +313,8 @@ metric_enum! {
         /// request (the charged-clock delta of the request's RMI call).
         TrafficServiceNs => ("traffic.service_ns", "model_ns"),
         /// Model nanoseconds a scheduler task waited between post and
-        /// executor claim (work-stealing engine; recorded even with
-        /// tracing off, so its tuner stays live — unlike
-        /// [`SwitchlessQueueWaitNs`](Hist::SwitchlessQueueWaitNs)).
+        /// executor claim (queue wait, excluded from execution time;
+        /// recorded even with tracing off, so the tuner stays live).
         SchedTaskWaitNs => ("rmi.sched_task_wait_ns", "model_ns"),
     }
 }

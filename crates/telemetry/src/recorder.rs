@@ -258,7 +258,7 @@ mod tests {
         // the PR-1 bug this guards against.
         assert_eq!(Hist::RmiCallNs.unit(), "model_ns");
         assert_eq!(Hist::SwitchlessCallNs.unit(), "model_ns");
-        assert_eq!(Hist::SwitchlessQueueWaitNs.unit(), "model_ns");
+        assert_eq!(Hist::SchedTaskWaitNs.unit(), "model_ns");
         assert_eq!(Hist::GcPauseNs.unit(), "wall_ns");
     }
 

@@ -568,14 +568,15 @@ pub struct WindowView {
     pub epc_faults: u64,
     /// Switchless posts that fell back to classic crossings.
     pub fallbacks: u64,
-    /// Worker-pool churn: scale-ups/downs plus tuner decisions.
+    /// Executor-pool churn: scale-ups/downs plus tuner decisions.
     pub scale_events: u64,
-    /// Mailbox depth observed at window close.
+    /// Switchless queue depth (tasks posted, not yet claimed) observed
+    /// at window close.
     pub queue_depth: u64,
     /// Resident switchless workers at window close.
     pub workers: u64,
     /// In-flight scheduler tasks (posted, uncompleted) at window close
-    /// — zero under the thread-per-worker pool.
+    /// — queued, executing or suspended on a nested crossing.
     pub sched_inflight: u64,
     /// Scheduler tasks the timeout worker swept to classic fallback.
     pub sched_timeouts: u64,
@@ -773,7 +774,7 @@ fn attribute(
     if v.fallbacks > 0 {
         causes.push(Attribution {
             cause: "switchless-fallback",
-            evidence: format!("{} classic fallback(s) under full mailbox", v.fallbacks),
+            evidence: format!("{} classic fallback(s) from a full or swept queue", v.fallbacks),
             confidence: Confidence::Medium,
         });
     }
@@ -786,7 +787,7 @@ fn attribute(
     }
     // Queue pressure comes in three evidence tiers, strongest first:
     // scheduler task timeouts (an overdue queue provably swept work to
-    // the fallback path), an elevated mailbox depth, or an elevated
+    // the fallback path), an elevated queue depth, or an elevated
     // in-flight scheduler task count. One attribution, best evidence.
     if v.sched_timeouts > 0 {
         causes.push(Attribution {
@@ -800,7 +801,7 @@ fn attribute(
     } else if v.queue_depth > 0 && v.queue_depth >= 2 * median_queue.max(1) {
         causes.push(Attribution {
             cause: "queue-pressure",
-            evidence: format!("mailbox depth {} vs run median {median_queue}", v.queue_depth),
+            evidence: format!("queue depth {} vs run median {median_queue}", v.queue_depth),
             confidence: Confidence::Medium,
         });
     } else if v.sched_inflight > 0 && v.sched_inflight >= 2 * median_inflight.max(1) {
@@ -1061,7 +1062,7 @@ mod tests {
     /// Scheduler-evidence queue pressure: a window with swept task
     /// timeouts is attributed `queue-pressure` at high confidence, and
     /// a window whose in-flight task level is elevated (without any
-    /// mailbox-depth signal) is attributed `queue-pressure` too.
+    /// queue-depth signal) is attributed `queue-pressure` too.
     #[test]
     fn detector_names_queue_pressure_from_scheduler_evidence() {
         let mut views: Vec<WindowView> = (0..8)

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat::core::exec::switchless::tuner::TunerConfig;
-use montsalvat::core::exec::switchless::SwitchlessConfig;
+use montsalvat::core::exec::switchless::{SchedulerConfig, SwitchlessConfig};
 use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat::core::samples::bank_program;
 use montsalvat::core::transform::transform;
@@ -107,14 +107,15 @@ fn crossing_produces_one_connected_tree_across_both_lanes() {
     assert!(trace::current().is_none(), "no dangling thread-local context");
 }
 
-/// Regression (PR 4): trace/telemetry reconciliation must survive the
-/// trace-driven tuner resizing pools mid-run. An aggressive tuner on a
-/// switchless app is driven until it records decisions; afterwards the
-/// capture must still balance, `rmi.calls` must still equal the traced
-/// rmi spans (nothing dropped at this capacity), every traced hit must
-/// have recorded exactly one queue-wait histogram sample and one
-/// cat-`queue` wait span, and the tuner's own decisions must be
-/// visible as `tune:` marks.
+/// Regression: trace/telemetry reconciliation must survive the
+/// trace-driven tuner resizing the executor pool mid-run. An
+/// aggressive tuner on a switchless app is driven until it records
+/// decisions; afterwards the capture must still balance, `rmi.calls`
+/// must still equal the traced rmi spans (nothing dropped at this
+/// capacity), every traced hit must have recorded exactly one
+/// `rmi.sched_task_wait_ns` sample and one cat-`queue` `task-wait:`
+/// span, and the tuner's own decisions must be visible as `tune:`
+/// marks.
 #[test]
 fn autotuned_run_keeps_trace_and_telemetry_reconciled() {
     let tracer = Tracer::new();
@@ -131,7 +132,11 @@ fn autotuned_run_keeps_trace_and_telemetry_reconciled() {
         switchless: Some(SwitchlessConfig {
             min_workers: 1,
             max_workers: 4,
-            mailbox_capacity: 2,
+            scheduler: Some(SchedulerConfig { injector_capacity: 2, ..SchedulerConfig::default() }),
+            // Park the miss counter: were it to grow the pool to
+            // `max_workers` first, the tuner would have nothing left
+            // to grow.
+            scale_up_misses: 1_000_000,
             autotune: Some(TunerConfig {
                 interval_calls: 2,
                 min_samples: 1,
@@ -184,15 +189,15 @@ fn autotuned_run_keeps_trace_and_telemetry_reconciled() {
     let rmi_spans = parsed.events.iter().filter(|e| e.ph == 'B' && e.cat == "rmi").count() as u64;
     assert_eq!(rmi_spans, rmi_calls, "rmi.calls == traced rmi spans");
 
-    // Queue-wait reconciliation: one histogram sample and one
+    // Task-wait reconciliation: one histogram sample and one
     // cat-`queue` wait span per traced hit.
-    assert_eq!(snap.hist(Hist::SwitchlessQueueWaitNs).count, hits);
+    assert_eq!(snap.hist(Hist::SchedTaskWaitNs).count, hits);
     let wait_spans = parsed
         .events
         .iter()
-        .filter(|e| e.ph == 'B' && e.cat == "queue" && e.name.starts_with("queue-wait:"))
+        .filter(|e| e.ph == 'B' && e.cat == "queue" && e.name.starts_with("task-wait:"))
         .count() as u64;
-    assert_eq!(wait_spans, hits, "one queue-wait span per switchless hit");
+    assert_eq!(wait_spans, hits, "one task-wait span per switchless hit");
 
     // Tuner decisions are visible both ways: counters and marks.
     let tune_marks = parsed
