@@ -1,6 +1,6 @@
 //! Figure 3: performance of proxy vs concrete object creation (§6.2).
 
-use experiments::report::{print_figure, print_params, Scale};
+use experiments::report::{print_figure, print_params, trace_out_from_args, Gate, Scale};
 use sgx_sim::cost::CostParams;
 
 fn main() {
@@ -15,4 +15,9 @@ fn main() {
     println!("proxy-in→out / concrete-in: {ratio_in:.0}x (paper: ~3 orders of magnitude)");
     experiments::report::maybe_export_telemetry();
     experiments::report::maybe_export_trace();
+    if trace_out_from_args().is_some() {
+        let mut gate = Gate::new("fig3", scale);
+        gate.check_trace_export();
+        gate.finish();
+    }
 }

@@ -17,19 +17,15 @@
 //! deterministic `gc.pause_model_ns` histogram (charged model time),
 //! not wall clocks.
 //!
-//! Self-checking: asserts both collectors compute identical checksums
-//! on both shapes, that the block collector ran real minor *and* major
-//! cycles on the churn shape, and that on heap-churn the block
-//! collector's p95 model pause and its EPC paging charges are strictly
-//! below the semispace's. `--json-out <path>` writes the
-//! `montsalvat.gc-ablation/v1` report CI gates on; `--quick` shrinks
-//! the churn volume.
-
-use std::fmt::Write as _;
-use std::path::PathBuf;
+//! Gated (`experiments::report::Gate`): both collectors compute
+//! identical checksums on both shapes, the block collector ran real
+//! minor *and* major cycles on the churn shape, and on heap-churn the
+//! block collector's p95 model pause and its EPC paging charges are
+//! strictly below the semispace's. `--json-out <path>` writes the
+//! `montsalvat.bench/v1` envelope; `--quick` shrinks the churn volume.
 
 use experiments::progs::{proxy_bench_entries, proxy_bench_program};
-use experiments::report::{print_params, print_table, telemetry_out_from_args, Scale};
+use experiments::report::{print_params, print_table, telemetry_out_from_args, Gate, Scale};
 use montsalvat_core::annotation::Side;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
@@ -38,9 +34,6 @@ use runtime_sim::heap::{CollectorKind, HeapConfig};
 use runtime_sim::value::Value;
 use sgx_sim::cost::{ClockMode, CostParams};
 use telemetry::{Counter, Gauge, Hist};
-
-/// Schema identifier of the emitted report.
-const GC_ABLATION_SCHEMA: &str = "montsalvat.gc-ablation/v1";
 
 /// One (shape, collector) run's outcome.
 struct RunResult {
@@ -222,51 +215,10 @@ fn finish(
     }
 }
 
-fn run_json(r: &RunResult) -> String {
-    let mut out = String::new();
-    write!(
-        out,
-        "    {{\"shape\": \"{shape}\", \"collector\": \"{collector}\", \
-         \"checksum\": \"{checksum:#018x}\",\n     \"model_time_ns\": {model}, \
-         \"p95_pause_model_ns\": {p95},\n     \
-         \"gc\": {{\"minor_collections\": {minor}, \"major_collections\": {major}}},\n     \
-         \"epc_faults\": {faults}, \"blocks_live\": {live}, \"blocks_free\": {free}}}",
-        shape = r.shape,
-        collector = r.collector.name(),
-        checksum = r.checksum,
-        model = r.charged_ns,
-        p95 = r.p95_pause_ns,
-        minor = r.minor_collections,
-        major = r.major_collections,
-        faults = r.epc_faults,
-        live = r.blocks_live,
-        free = r.blocks_free,
-    )
-    .expect("write to string");
-    out
-}
-
-fn arg_value(name: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
-
 fn main() {
     experiments::report::init_tracing_from_args();
     let scale = Scale::from_args();
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    };
-    println!("gc ablation: semispace vs block collector, scale {scale_name} (model time)");
+    println!("gc ablation: semispace vs block collector, scale {} (model time)", scale.name());
     print_params(&CostParams::default());
 
     let runs: Vec<RunResult> = vec![
@@ -318,71 +270,6 @@ fn main() {
     let cons_semi = by("consistency", CollectorKind::Semispace);
     let cons_block = by("consistency", CollectorKind::Block);
 
-    // The claims this ablation exists to demonstrate.
-    assert_eq!(
-        churn_semi.checksum, churn_block.checksum,
-        "heap-churn: both collectors must compute the same result"
-    );
-    assert_eq!(
-        cons_semi.checksum, cons_block.checksum,
-        "consistency: the proxy/mirror timeline must be collector-independent"
-    );
-    assert!(
-        churn_block.minor_collections > 0 && churn_block.major_collections > 0,
-        "heap-churn: the block collector must run real minor ({}) and major ({}) cycles",
-        churn_block.minor_collections,
-        churn_block.major_collections
-    );
-    assert!(
-        churn_semi.major_collections > 0,
-        "heap-churn: the semispace must collect under the threshold"
-    );
-    assert!(
-        churn_block.p95_pause_ns < churn_semi.p95_pause_ns,
-        "heap-churn: block p95 model pause {} ns must be strictly below semispace {} ns",
-        churn_block.p95_pause_ns,
-        churn_semi.p95_pause_ns
-    );
-    assert!(
-        churn_block.epc_faults < churn_semi.epc_faults,
-        "heap-churn: block EPC paging charges {} must be strictly below semispace {}",
-        churn_block.epc_faults,
-        churn_semi.epc_faults
-    );
-    println!(
-        "ok: checksums match on both shapes; block p95 pause {:.1} us < semispace {:.1} us, \
-         epc faults {} < {} ({} minors kept {} majors rare)",
-        churn_block.p95_pause_ns as f64 / 1e3,
-        churn_semi.p95_pause_ns as f64 / 1e3,
-        churn_block.epc_faults,
-        churn_semi.epc_faults,
-        churn_block.minor_collections,
-        churn_block.major_collections,
-    );
-
-    let runs_json: Vec<String> = runs.iter().map(run_json).collect();
-    let report = format!(
-        "{{\n  \"schema\": \"{GC_ABLATION_SCHEMA}\",\n  \"scale\": \"{scale_name}\",\n  \
-         \"runs\": [\n{runs}\n  ],\n  \
-         \"crossover\": {{\n    \"heap_churn\": {{\"semispace_p95_pause_ns\": {sp95}, \
-         \"block_p95_pause_ns\": {bp95}, \"semispace_epc_faults\": {sfault}, \
-         \"block_epc_faults\": {bfault}}}\n  }},\n  \
-         \"checks\": {{\"checksums_match\": true, \"block_p95_lower\": {p95_lower}, \
-         \"block_fewer_epc_faults\": {fewer_faults}, \
-         \"block_ran_minors_and_majors\": {ran_both}}}\n}}\n",
-        runs = runs_json.join(",\n"),
-        sp95 = churn_semi.p95_pause_ns,
-        bp95 = churn_block.p95_pause_ns,
-        sfault = churn_semi.epc_faults,
-        bfault = churn_block.epc_faults,
-        p95_lower = churn_block.p95_pause_ns < churn_semi.p95_pause_ns,
-        fewer_faults = churn_block.epc_faults < churn_semi.epc_faults,
-        ran_both = churn_block.minor_collections > 0 && churn_block.major_collections > 0,
-    );
-    if let Some(path) = arg_value("--json-out") {
-        std::fs::write(&path, &report).expect("write gc ablation report");
-        println!("report ({GC_ABLATION_SCHEMA}): {}", path.display());
-    }
     if let Some(path) = telemetry_out_from_args() {
         for r in &runs {
             let run_path = path.with_extension(format!("{}.{}.json", r.shape, r.collector.name()));
@@ -392,4 +279,15 @@ fn main() {
     }
     experiments::report::maybe_export_telemetry();
     experiments::report::maybe_export_trace();
+
+    // The claims this ablation exists to demonstrate.
+    let mut gate = Gate::new("gc_ablation", scale);
+    gate.eq("gc.heap_churn.checksums_match", churn_block.checksum, churn_semi.checksum);
+    gate.eq("gc.consistency.checksums_match", cons_block.checksum, cons_semi.checksum);
+    gate.gt("gc.block_minor_collections", churn_block.minor_collections, 0);
+    gate.gt("gc.block_major_collections", churn_block.major_collections, 0);
+    gate.gt("gc.semispace_major_collections", churn_semi.major_collections, 0);
+    gate.lt("gc.block_p95_pause_lower", churn_block.p95_pause_ns, churn_semi.p95_pause_ns);
+    gate.lt("gc.block_fewer_epc_faults", churn_block.epc_faults, churn_semi.epc_faults);
+    gate.finish();
 }

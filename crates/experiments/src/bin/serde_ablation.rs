@@ -14,19 +14,20 @@
 //! deterministic model time
 //! ([`CostModel::charged`](sgx_sim::cost::CostModel::charged)).
 //!
-//! Self-checking: asserts the fast path's charged serde cost is
-//! strictly below the classic baseline on both bulk workloads, that
+//! Gated (`experiments::report::Gate`): the fast path's charged serde
+//! cost is strictly below the classic baseline on both bulk workloads,
 //! every encode took exactly one path (`serde.encode_calls ==
-//! serde.fast_path_hits + serde.slow_path_hits`), that the fast mode
-//! hits the bulk and pooled counters, and that both modes compute the
+//! serde.fast_path_hits + serde.slow_path_hits`), the fast mode hits
+//! the fast-path, bulk and pooled counters, and both modes compute the
 //! same results.
 //!
-//! `--quick` shrinks the record/batch counts; `--telemetry-out <path>`
+//! `--quick` shrinks the record/batch counts; `--json-out <path>`
+//! writes the `montsalvat.bench/v1` envelope; `--telemetry-out <path>`
 //! exports aggregated telemetry and, per run, `<path>.<workload>.<mode>.json`.
 
 use std::sync::Arc;
 
-use experiments::report::{print_table, telemetry_out_from_args, Scale};
+use experiments::report::{print_table, telemetry_out_from_args, Gate, Scale};
 use montsalvat_core::class::{ClassDef, MethodDef, MethodKind, MethodRef, Program, CTOR};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
@@ -215,51 +216,25 @@ fn main() {
     experiments::report::maybe_export_trace();
 
     // The claims this ablation exists to demonstrate.
+    let mut gate = Gate::new("serde_ablation", scale);
     for pair in runs.chunks(2) {
         let [classic, fast] = pair else { unreachable!("runs come in mode pairs") };
-        assert_eq!(
-            classic.checksum, fast.checksum,
-            "{}: both modes must compute the same result",
-            classic.workload
-        );
-        assert!(
-            fast.charged_ns < classic.charged_ns,
-            "{}: fast-path model cost {} ns must be strictly below classic {} ns",
-            fast.workload,
-            fast.charged_ns,
-            classic.charged_ns
-        );
+        let name = format!("serde.{}", classic.workload);
+        gate.eq(format!("{name}.checksums_match"), fast.checksum, classic.checksum);
+        gate.lt(format!("{name}.fast_cheaper"), fast.charged_ns, classic.charged_ns);
         for r in pair {
-            let calls = r.snap.counter(Counter::SerdeEncodeCalls);
-            let hits = r.snap.counter(Counter::SerdeFastPathHits)
+            let paths = r.snap.counter(Counter::SerdeFastPathHits)
                 + r.snap.counter(Counter::SerdeSlowPathHits);
-            assert_eq!(
-                calls, hits,
-                "{} {}: every encode takes exactly one path",
-                r.workload, r.mode
-            );
+            let encodes = r.snap.counter(Counter::SerdeEncodeCalls);
+            gate.eq(format!("{name}.{}.one_path_per_encode", r.mode), encodes, paths);
         }
-        assert!(
-            fast.snap.counter(Counter::SerdeFastPathHits) > 0,
-            "{}: fast mode must hit the fast path",
-            fast.workload
-        );
-        assert!(
-            fast.snap.counter(Counter::SerdeBulkBytes) > 0,
-            "{}: bulk payloads must be charged at the bulk rate",
-            fast.workload
-        );
-        assert!(
-            fast.snap.counter(Counter::SerdePooledBytes) > 0,
-            "{}: steady-state encodes must reuse pooled buffers",
-            fast.workload
-        );
-        println!(
-            "ok: {} fast {:.3} ms < classic {:.3} ms ({:.1}% serde cost saved)",
-            fast.workload,
-            fast.charged_ns as f64 / 1e6,
-            classic.charged_ns as f64 / 1e6,
-            100.0 * (1.0 - fast.charged_ns as f64 / classic.charged_ns as f64),
-        );
+        for (metric, counter) in [
+            ("fast_path_hits", Counter::SerdeFastPathHits),
+            ("bulk_bytes", Counter::SerdeBulkBytes),
+            ("pooled_bytes", Counter::SerdePooledBytes),
+        ] {
+            gate.gt(format!("{name}.fast.{metric}"), fast.snap.counter(counter), 0);
+        }
     }
+    gate.finish();
 }

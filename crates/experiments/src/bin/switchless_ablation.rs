@@ -11,18 +11,22 @@
 //! independent of host core count; throughput is calls per *modelled*
 //! second.
 //!
-//! Self-checking: asserts that both switchless modes perform strictly
-//! fewer charged hardware transitions than classic, and that the
-//! adaptive engine's throughput is not below the fixed engine's (small
-//! tolerance for scheduling variation in fallback counts).
+//! Gated (`experiments::report::Gate`): both switchless modes serve
+//! calls with strictly fewer charged hardware transitions than classic,
+//! the adaptive engine's throughput is at least 0.95x the fixed
+//! engine's (a small tolerance for scheduling variation in fallback
+//! counts), and adaptive executors park and wake between bursts. With
+//! `--trace-out`, the re-read export must hold balanced spans and
+//! cat-`rmi` spans.
 //!
-//! `--quick` shrinks the burst schedule; `--telemetry-out <path>`
-//! exports aggregated telemetry and, per mode, `<path>.<mode>.json`.
+//! `--quick` shrinks the burst schedule; `--json-out <path>` writes the
+//! `montsalvat.bench/v1` envelope; `--telemetry-out <path>` exports
+//! aggregated telemetry and, per mode, `<path>.<mode>.json`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use experiments::report::{print_table, telemetry_out_from_args, Scale};
+use experiments::report::{print_table, telemetry_out_from_args, Gate, Scale};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::exec::switchless::SwitchlessConfig;
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
@@ -191,37 +195,14 @@ fn main() {
     experiments::report::maybe_export_trace();
 
     // The claims this ablation exists to demonstrate.
+    let mut gate = Gate::new("switchless_ablation", scale);
     for sw in [fixed, adaptive] {
-        assert!(
-            sw.transitions < classic.transitions,
-            "{}: {} transitions must be strictly below classic's {}",
-            sw.label,
-            sw.transitions,
-            classic.transitions
-        );
-        assert!(
-            sw.snap.counter(Counter::SwitchlessCalls) > 0,
-            "{}: the switchless engine must serve calls",
-            sw.label
-        );
+        let name = format!("switchless.{}", sw.label);
+        gate.lt(format!("{name}.fewer_transitions"), sw.transitions, classic.transitions);
+        gate.gt(format!("{name}.hits"), sw.snap.counter(Counter::SwitchlessCalls), 0);
     }
-    assert!(
-        adaptive.throughput() >= fixed.throughput() * 0.95,
-        "adaptive throughput {:.0} must not trail fixed {:.0}",
-        adaptive.throughput(),
-        fixed.throughput()
-    );
-    assert!(
-        adaptive.snap.counter(Counter::SwitchlessWorkerWakes) > 0,
-        "adaptive executors must park and wake between bursts"
-    );
-    println!(
-        "\nok: switchless transitions {} (fixed) / {} (adaptive) < classic {}; \
-         adaptive throughput {:.0} vs fixed {:.0} calls/model-s",
-        fixed.transitions,
-        adaptive.transitions,
-        classic.transitions,
-        adaptive.throughput(),
-        fixed.throughput()
-    );
+    gate.ge("switchless.adaptive.throughput", adaptive.throughput(), fixed.throughput() * 0.95);
+    gate.gt("switchless.adaptive.wakes", adaptive.snap.counter(Counter::SwitchlessWorkerWakes), 0);
+    gate.check_trace_export();
+    gate.finish();
 }

@@ -4,8 +4,8 @@
 //! ([`experiments::tuning`]).
 //!
 //! Everything is pure model time with a pinned seed — the numbers are
-//! bit-for-bit reproducible, so the claims below are asserted exactly
-//! (and re-checked in CI from the exported telemetry):
+//! bit-for-bit reproducible, so the claims below are gated exactly
+//! (`experiments::report::Gate`):
 //!
 //! - under bursty load the trace-driven controller's total model cost
 //!   does not exceed the miss-driven law's, and it demonstrably acted
@@ -14,10 +14,11 @@
 //!   rmi.switchless_fallbacks`, and the task-wait histogram
 //!   (`rmi.sched_task_wait_ns`) holds one sample per hit.
 //!
-//! `--quick` shrinks the schedule; `--telemetry-out <path>` exports
+//! `--quick` shrinks the schedule; `--json-out <path>` writes the
+//! `montsalvat.bench/v1` envelope; `--telemetry-out <path>` exports
 //! aggregated telemetry plus, per run, `<path>.<workload>.<policy>.json`.
 
-use experiments::report::{print_table, telemetry_out_from_args, Scale};
+use experiments::report::{print_table, telemetry_out_from_args, Gate, Scale};
 use experiments::tuning::{simulate, Policy, SimConfig, SimResult, Workload};
 use montsalvat_core::exec::switchless::tuner::TunerConfig;
 use sgx_sim::cost::CostParams;
@@ -83,44 +84,29 @@ fn main() {
     experiments::report::maybe_export_telemetry();
 
     // The claims this comparison exists to demonstrate.
+    let mut gate = Gate::new("switchless_tuning", scale);
     for (workload, results) in &all {
         for r in results {
-            assert_eq!(
-                r.snapshot.counter(Counter::RmiCalls),
-                r.hits + r.fallbacks,
-                "{}/{}: rmi.calls must equal hits + fallbacks",
-                workload.label(),
-                r.policy
+            let name = format!("tuning.{}.{}", workload.label(), r.policy);
+            let counter = |c| r.snapshot.counter(c);
+            gate.eq(format!("{name}.reconciles"), counter(Counter::RmiCalls), r.hits + r.fallbacks);
+            gate.eq(
+                format!("{name}.telemetry_reconciles"),
+                counter(Counter::RmiCalls),
+                counter(Counter::SwitchlessCalls) + counter(Counter::SwitchlessFallbacks),
             );
-            assert_eq!(
+            gate.eq(
+                format!("{name}.task_wait_samples"),
                 r.snapshot.hist(Hist::SchedTaskWaitNs).count,
                 r.hits,
-                "{}/{}: one task-wait sample per hit",
-                workload.label(),
-                r.policy
             );
         }
     }
     let bursty = &all[0].1;
     let (miss, trace) = (&bursty[1], &bursty[2]);
-    assert!(trace.tune_ups > 0, "trace-driven controller must act under bursty load");
-    assert_eq!(
-        trace.snapshot.counter(Counter::SwitchlessTuneUps),
-        trace.tune_ups,
-        "tune-up decisions mirror into telemetry"
-    );
-    assert!(
-        trace.total_cost_ns <= miss.total_cost_ns,
-        "bursty: trace-driven total {} ns must not exceed miss-driven {} ns",
-        trace.total_cost_ns,
-        miss.total_cost_ns
-    );
-    println!(
-        "\nok: bursty trace-driven {:.3} model ms <= miss-driven {:.3} model ms \
-         ({} tune-ups, {} tune-downs)",
-        trace.total_cost_ns as f64 * 1e-6,
-        miss.total_cost_ns as f64 * 1e-6,
-        trace.tune_ups,
-        trace.tune_downs
-    );
+    let tune_ups = trace.snapshot.counter(Counter::SwitchlessTuneUps);
+    gate.gt("tuning.bursty.trace-driven.tune_ups", tune_ups, 0);
+    gate.eq("tuning.bursty.trace-driven.tune_ups_mirrored", tune_ups, trace.tune_ups);
+    gate.le("tuning.bursty.trace_not_costlier", trace.total_cost_ns, miss.total_cost_ns);
+    gate.finish();
 }

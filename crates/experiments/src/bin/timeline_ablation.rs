@@ -6,50 +6,32 @@
 //! stall injected into one mid-run request
 //! (`TrafficConfig::inject_gc`), once **without** (the control). The
 //! injected run must yield at least one spike window whose
-//! attribution names `gc`; the control must yield none — that is the
-//! ablation: the detector fires on the event we planted and only on
-//! it. Both runs also gate window-sum reconciliation: per-window
-//! `rmi.calls` and `traffic.requests` deltas must sum exactly to the
-//! lane's end-of-run aggregate, and the injected lane's
-//! `montsalvat.timeseries/v1` export must be byte-identical across two
-//! runs of the same seed.
+//! attribution names `gc`, and every spike must name a cause; the
+//! control must yield no GC attribution — that is the ablation: the
+//! detector fires on the event we planted and only on it. Both runs
+//! also gate window-sum reconciliation: per-window `rmi.calls` and
+//! `traffic.requests` deltas must sum exactly to the lane's end-of-run
+//! aggregate, in the live series and in the injected lane's
+//! `montsalvat.timeseries/v1` export read back through
+//! `parse_timeseries`, and that export must be byte-identical across
+//! two runs of the same seed.
 //!
 //! Flags: `--quick` (CI scale), `--json-out <path>` (the
-//! `montsalvat.timeline-ablation/v1` report), `--timeseries-out
-//! <path>` (the injected lane's timeseries export), `--prom-out
-//! <path>` (Prometheus text exposition of the same series).
-//!
-//! The process exits non-zero if any assertion fails, so CI needs no
-//! jq to get the safety — the jq gates in bench-smoke just make the
-//! numbers visible in the job log.
+//! `montsalvat.bench/v1` envelope of `experiments::report::Gate`),
+//! `--timeseries-out <path>` (the injected lane's timeseries export),
+//! `--prom-out <path>` (Prometheus text exposition of the same
+//! series).
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-use experiments::report::Scale;
+use experiments::report::{arg_path, Gate, Scale};
 use experiments::traffic::{lanes, run_lane, GcInjection, LaneResult, TrafficConfig};
-use telemetry::timeseries::{detect_spikes, Series, SpikeReport, WindowView, DEFAULT_SPIKE_FACTOR};
+use telemetry::timeseries::{
+    detect_spikes, parse_timeseries, Series, SpikeReport, WindowView, DEFAULT_SPIKE_FACTOR,
+};
 use telemetry::Counter;
-
-/// Schema identifier of the emitted report.
-const ABLATION_SCHEMA: &str = "montsalvat.timeline-ablation/v1";
 
 /// The synthetic stall: ~2.5 ms of model time, two orders of
 /// magnitude above the lane's typical per-request service cost.
 const INJECTED_PAUSE_NS: u64 = 2_500_000;
-
-fn arg_value(name: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
 
 struct RunOutcome {
     lane: LaneResult,
@@ -69,101 +51,9 @@ fn gc_attributed(report: &SpikeReport) -> usize {
     report.spikes.iter().filter(|s| s.causes.iter().any(|c| c.cause == "gc")).count()
 }
 
-struct Reconciliation {
-    metric: &'static str,
-    window_sum: u64,
-    aggregate: u64,
-}
-
-fn reconcile(outcome: &RunOutcome, counter: Counter, metric: &'static str) -> Reconciliation {
-    Reconciliation {
-        metric,
-        window_sum: outcome.series.windows.iter().map(|w| w.delta.counter(counter)).sum(),
-        aggregate: outcome.lane.snap.counter(counter),
-    }
-}
-
-fn spikes_json(report: &SpikeReport) -> String {
-    let mut out = String::new();
-    for (i, spike) in report.spikes.iter().enumerate() {
-        let causes: Vec<String> = spike
-            .causes
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"cause\": \"{}\", \"confidence\": \"{}\", \"evidence\": \"{}\"}}",
-                    c.cause,
-                    c.confidence.label(),
-                    c.evidence
-                )
-            })
-            .collect();
-        let comma = if i + 1 == report.spikes.len() { "" } else { "," };
-        writeln!(
-            out,
-            "      {{\"start_ns\": {}, \"end_ns\": {}, \"p95_ns\": {}, \"causes\": [{}]}}{comma}",
-            spike.start_ns,
-            spike.end_ns,
-            spike.latency_p95,
-            causes.join(", ")
-        )
-        .expect("write to string");
-    }
-    out
-}
-
-fn report_json(
-    scale_name: &str,
-    injection: GcInjection,
-    injected: &RunOutcome,
-    control: &RunOutcome,
-    recs: &[Reconciliation],
-) -> String {
-    let recs_json: Vec<String> = recs
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{\"window_sum\": {}, \"aggregate\": {}, \"equal\": {}}}",
-                r.metric,
-                r.window_sum,
-                r.aggregate,
-                r.window_sum == r.aggregate
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"{ABLATION_SCHEMA}\",\n  \"scale\": \"{scale_name}\",\n  \
-         \"injection\": {{\"at_request\": {at}, \"pause_ns\": {pause}}},\n  \
-         \"window_ns\": {window_ns},\n  \"windows\": {windows},\n  \"dropped\": {dropped},\n  \
-         \"reconciliation\": {{\n{recs}\n  }},\n  \
-         \"spikes\": {{\"median_p95_ns\": {median}, \"threshold_ns\": {threshold}, \
-         \"active_windows\": {active}, \"count\": {count}, \"gc_attributed\": {gc}, \
-         \"detail\": [\n{detail}    ]}},\n  \
-         \"control\": {{\"count\": {ccount}, \"gc_attributed\": {cgc}}}\n}}\n",
-        at = injection.at_request,
-        pause = injection.pause_ns,
-        window_ns = injected.series.window_ns,
-        windows = injected.series.windows.len(),
-        dropped = injected.series.dropped,
-        recs = recs_json.join(",\n"),
-        median = injected.report.median_p95,
-        threshold = injected.report.threshold,
-        active = injected.report.active_windows,
-        count = injected.report.spikes.len(),
-        gc = gc_attributed(&injected.report),
-        detail = spikes_json(&injected.report),
-        ccount = control.report.spikes.len(),
-        cgc = gc_attributed(&control.report),
-    )
-}
-
 fn main() {
     experiments::report::init_tracing_from_args();
     let scale = Scale::from_args();
-    let scale_name = match scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
-    };
     let base = TrafficConfig::for_scale(scale);
     // Mid-run, inside a calm phase, so the spike is the stall and not
     // an arrival burst.
@@ -183,54 +73,12 @@ fn main() {
 
     let injected = run(&injected_cfg);
     let control = run(&base);
-
-    // Determinism: same seed, same config → byte-identical export.
     let replay = run(&injected_cfg);
-    assert_eq!(
-        injected.series.to_json(),
-        replay.series.to_json(),
-        "seeded runs must export byte-identical montsalvat.timeseries/v1 documents"
-    );
-
-    // Window-sum reconciliation on the deterministic lane.
-    let recs = [
-        reconcile(&injected, Counter::RmiCalls, "rmi.calls"),
-        reconcile(&injected, Counter::TrafficRequests, "traffic.requests"),
-        reconcile(&control, Counter::RmiCalls, "rmi.calls.control"),
-        reconcile(&control, Counter::TrafficRequests, "traffic.requests.control"),
-    ];
-    for r in &recs {
-        assert_eq!(
-            r.window_sum, r.aggregate,
-            "window deltas must sum to the run aggregate for {}",
-            r.metric
-        );
-    }
-
-    // The ablation itself: the planted stall is detected and named;
-    // the control plants nothing and gets no GC attribution.
-    assert!(
-        !injected.report.spikes.is_empty(),
-        "the injected stall must register as a spike (median {} ns, threshold {} ns)",
-        injected.report.median_p95,
-        injected.report.threshold
-    );
-    assert!(
-        gc_attributed(&injected.report) >= 1,
-        "at least one spike must be attributed to the injected GC event: {:?}",
-        injected.report.spikes
-    );
-    assert_eq!(
-        gc_attributed(&control.report),
-        0,
-        "the control run injects nothing, so nothing may be GC-attributed: {:?}",
-        control.report.spikes
-    );
+    let export = injected.series.to_json();
 
     println!(
-        "ok: {} window(s), {} spike(s), {} gc-attributed (median p95 {} ns, threshold {} ns); \
-         control: {} spike(s), 0 gc-attributed; reconciliation holds for rmi.calls and \
-         traffic.requests",
+        "{} window(s), {} spike(s), {} gc-attributed (median p95 {} ns, threshold {} ns); \
+         control: {} spike(s)",
         injected.series.windows.len(),
         injected.report.spikes.len(),
         gc_attributed(&injected.report),
@@ -238,18 +86,54 @@ fn main() {
         injected.report.threshold,
         control.report.spikes.len(),
     );
-
-    let report = report_json(scale_name, injection, &injected, &control, &recs);
-    if let Some(path) = arg_value("--json-out") {
-        std::fs::write(&path, &report).expect("write ablation report");
-        println!("report ({ABLATION_SCHEMA}): {}", path.display());
-    }
-    if let Some(path) = arg_value("--timeseries-out") {
-        std::fs::write(&path, injected.series.to_json()).expect("write timeseries export");
+    if let Some(path) = arg_path("--timeseries-out") {
+        std::fs::write(&path, &export).expect("write timeseries export");
         println!("timeseries ({}): {}", telemetry::timeseries::SCHEMA, path.display());
     }
-    if let Some(path) = arg_value("--prom-out") {
+    if let Some(path) = arg_path("--prom-out") {
         std::fs::write(&path, injected.series.to_prometheus()).expect("write exposition");
         println!("exposition (prometheus text): {}", path.display());
     }
+
+    let mut gate = Gate::new("timeline_ablation", scale);
+    // Determinism: same seed, same config → byte-identical export.
+    gate.check(
+        "timeline.export_byte_identical",
+        export == replay.series.to_json(),
+        format_args!("{} bytes", export.len()),
+        "identical to a same-seed replay",
+    );
+
+    // Window-sum reconciliation on the deterministic lane: the live
+    // series of both runs, and the injected run's export read back.
+    let parsed = parse_timeseries(&export).expect("the export parses");
+    for (metric, counter) in
+        [("rmi.calls", Counter::RmiCalls), ("traffic.requests", Counter::TrafficRequests)]
+    {
+        for (run, outcome) in [("injected", &injected), ("control", &control)] {
+            gate.eq(
+                format!("timeline.{run}.{metric}.window_sum"),
+                outcome.series.windows.iter().map(|w| w.delta.counter(counter)).sum::<u64>(),
+                outcome.lane.snap.counter(counter),
+            );
+        }
+        gate.eq(
+            format!("timeline.export.{metric}.window_sum"),
+            parsed.windows.iter().map(|w| w.counter(metric)).sum::<u64>(),
+            injected.lane.snap.counter(counter),
+        );
+    }
+
+    // The ablation itself: the planted stall is detected and named;
+    // the control plants nothing and gets no GC attribution.
+    let spikes = &injected.report.spikes;
+    gate.ge("timeline.spikes", spikes.len(), 1);
+    gate.eq(
+        "timeline.spikes_without_cause",
+        spikes.iter().filter(|s| s.causes.is_empty()).count(),
+        0,
+    );
+    gate.ge("timeline.gc_attributed", gc_attributed(&injected.report), 1);
+    gate.eq("timeline.control.gc_attributed", gc_attributed(&control.report), 0);
+    gate.finish();
 }

@@ -20,7 +20,11 @@
 //! | [`traffic`] | Open-loop sustained-traffic harness (`traffic_service`) |
 //! | [`scheduler`] | Work-stealing scheduler ablation (`scheduler_ablation`) |
 //!
-//! Pass `--quick` to any binary for a shrunk run.
+//! Pass `--quick` to any binary for a shrunk run. The eight
+//! self-checking bins (the ablations, `traffic_service`,
+//! `partition_advisor`, `switchless_tuning`) evaluate their claims
+//! through [`report::Gate`] and write one `montsalvat.bench/v1`
+//! envelope with `--json-out`.
 
 pub mod gc;
 pub mod graph;

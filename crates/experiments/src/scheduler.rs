@@ -29,8 +29,8 @@
 //!   live steal/suspend activity (`rmi.sched_steals`,
 //!   `rmi.sched_suspends`).
 //!
-//! The `scheduler_ablation` binary asserts both halves and exports the
-//! `montsalvat.scheduler-ablation/v1` report CI gates on.
+//! The `scheduler_ablation` binary gates both halves through
+//! `report::Gate`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -36,11 +36,10 @@
 //! costs, what the switchless scheduler buys back, and what the
 //! partitioning machinery costs by itself.
 //! [`TrafficConfig::max_inflight`] widens the virtual
-//! replay from one server to `c` (`MONTSALVAT_TRAFFIC_INFLIGHT`); the
-//! default of 1 keeps every historical lane byte-identical. The
-//! `traffic_service` binary turns the results into the
-//! `montsalvat.traffic/v1` report that CI gates against
-//! `results/traffic_baseline.json` (`docs/DEPLOYMENT.md`).
+//! replay from one server to `c`; the default of 1 keeps every
+//! historical lane byte-identical. The `traffic_service` binary gates
+//! the results against `results/traffic_baseline.json`
+//! (`docs/DEPLOYMENT.md`).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -111,8 +110,7 @@ pub struct TrafficConfig {
     /// servers, so depths above 1 let bursts overlap instead of
     /// serialising behind one completion chain. The default of 1 is
     /// the historical single-server replay and keeps the gated lanes
-    /// byte-identical. Env override: `MONTSALVAT_TRAFFIC_INFLIGHT`
-    /// (see [`TrafficConfig::with_env_inflight`]).
+    /// byte-identical.
     pub max_inflight: usize,
 }
 
@@ -176,20 +174,6 @@ impl TrafficConfig {
             Scale::Quick => Self::quick(),
             Scale::Full => Self::full(),
         }
-    }
-
-    /// Applies the `MONTSALVAT_TRAFFIC_INFLIGHT` env override to
-    /// [`TrafficConfig::max_inflight`] (clamped to ≥ 1). Unset or
-    /// unparsable values leave the config untouched, so seed-pinned CI
-    /// runs stay on the byte-identical single-server replay.
-    #[must_use]
-    pub fn with_env_inflight(mut self) -> Self {
-        if let Ok(raw) = std::env::var("MONTSALVAT_TRAFFIC_INFLIGHT") {
-            if let Ok(depth) = raw.trim().parse::<usize>() {
-                self.max_inflight = depth.max(1);
-            }
-        }
-        self
     }
 }
 

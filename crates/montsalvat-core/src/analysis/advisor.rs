@@ -44,8 +44,7 @@
 //! Every term maps to a [`CostParams`] field with a `MONTSALVAT_*`
 //! override; `docs/PARTITIONING.md` documents the contract term by
 //! term, including the decision rule, its thresholds, and the
-//! tolerance band the self-verifying `partition_advisor` experiment
-//! asserts.
+//! tolerance band the gated `partition_advisor` experiment checks.
 //!
 //! # Example
 //!

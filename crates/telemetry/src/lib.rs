@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 mod hist;
+pub mod json;
 mod recorder;
 mod snapshot;
 pub mod timeseries;

@@ -144,11 +144,7 @@ impl Snapshot {
 /// [`Snapshot::to_json`]. Intended for tests and quick diff tooling;
 /// real consumers should use a JSON parser.
 pub fn extract_counter(json: &str, metric_name: &str) -> Option<u64> {
-    let key = format!("\"{metric_name}\": {{\"value\": ");
-    let start = json.find(&key)? + key.len();
-    let rest = &json[start..];
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
+    crate::json::field_u64(crate::json::object_after(json, metric_name)?, "value")
 }
 
 #[cfg(test)]

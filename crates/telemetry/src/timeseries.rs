@@ -14,7 +14,7 @@
 //!
 //! The export is the versioned, line-oriented JSON document
 //! [`SCHEMA`] (`montsalvat.timeseries/v1`, one window per line so
-//! `jq`/grep and [`parse_timeseries`] both work), plus a
+//! grep and [`parse_timeseries`] both work), plus a
 //! Prometheus-style text exposition for external scrapers
 //! ([`Series::to_prometheus`]).
 //!
@@ -33,6 +33,7 @@
 use std::sync::Arc;
 
 use crate::hist::nearest_rank;
+use crate::json::{field_u64, object_after, object_entries};
 use crate::{Counter, Gauge, Hist, Recorder, Snapshot};
 
 /// Identifier of the JSON document emitted by [`Series::to_json`].
@@ -476,70 +477,6 @@ fn parse_window(line: &str) -> Result<ParsedWindow, String> {
         }
     }
     Ok(w)
-}
-
-/// Extracts the body of the `{...}` object following `"key":` —
-/// brace-matched, so nested objects (histogram stats) survive.
-fn object_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":{{");
-    let start = line.find(&pat)? + pat.len();
-    let bytes = line.as_bytes();
-    let mut depth = 1usize;
-    for (offset, &b) in bytes[start..].iter().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&line[start..start + offset]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits an object body into `(key, raw value)` pairs at top-level
-/// commas. Keys are metric names (never contain quotes or braces).
-fn object_entries(body: &str) -> Vec<(&str, &str)> {
-    fn flush<'a>(body: &'a str, start: usize, end: usize, entries: &mut Vec<(&'a str, &'a str)>) {
-        let item = body[start..end].trim();
-        if item.is_empty() {
-            return;
-        }
-        if let Some(colon) = item.find(':') {
-            let key = item[..colon].trim().trim_matches('"');
-            let value = item[colon + 1..].trim();
-            entries.push((key, value));
-        }
-    }
-    let mut entries = Vec::new();
-    let (mut depth, mut item_start) = (0usize, 0usize);
-    for (i, &b) in body.as_bytes().iter().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => depth = depth.saturating_sub(1),
-            b',' if depth == 0 => {
-                flush(body, item_start, i, &mut entries);
-                item_start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    flush(body, item_start, body.len(), &mut entries);
-    entries
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
 }
 
 // ---------------------------------------------------------------------------

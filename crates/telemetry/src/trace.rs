@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
+use crate::json::{self, field_str, field_u64};
 use crate::recorder::Recorder;
 use crate::Counter;
 
@@ -542,7 +543,7 @@ impl Tracer {
             balanced.len()
         ));
         for (key, value) in extra {
-            out.push_str(&format!(", \"{}\": {}", escape_json(key), value));
+            out.push_str(&format!(", \"{}\": {}", json::escape(key), value));
         }
         out.push_str("},\n");
         out.push_str("\"traceEvents\": [\n");
@@ -622,8 +623,8 @@ fn event_json(event: &TraceEvent) -> String {
         event.phase.ph(),
         event.lane.pid(),
         event.trace_id,
-        escape_json(event.cat),
-        escape_json(&event.name),
+        json::escape(event.cat),
+        json::escape(&event.name),
     );
     if event.phase == TracePhase::Instant {
         line.push_str(",\"s\":\"t\"");
@@ -633,21 +634,6 @@ fn event_json(event: &TraceEvent) -> String {
         event.span_id, event.parent_span_id, event.model_ns, event.wall_ns
     ));
     line
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -728,48 +714,6 @@ impl ParsedTrace {
     }
 }
 
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    // Find the closing quote, skipping backslash-escaped ones.
-    let bytes = line.as_bytes();
-    let mut i = start;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(&line[start..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
 /// Reads back a document produced by [`Tracer::to_chrome_json`].
 ///
 /// Line-oriented by construction (the exporter writes one event per
@@ -782,13 +726,10 @@ pub fn parse_chrome_trace(json: &str) -> Result<ParsedTrace, String> {
     let mut trace = ParsedTrace::default();
     for line in json.lines() {
         let line = line.trim().trim_end_matches(',');
-        if let Some(rest) = line.strip_prefix("\"otherData\": {") {
-            let body = rest.trim_end_matches('}');
-            for pair in body.split(',') {
-                let mut halves = pair.splitn(2, ':');
-                let (Some(key), Some(value)) = (halves.next(), halves.next()) else { continue };
-                let key = key.trim().trim_matches('"');
-                if let Ok(value) = value.trim().parse::<u64>() {
+        if line.starts_with("\"otherData\"") {
+            let body = json::object_after(line, "otherData").unwrap_or_default();
+            for (key, value) in json::object_entries(body) {
+                if let Ok(value) = value.parse::<u64>() {
                     trace.other.push((key.to_owned(), value));
                 }
             }
@@ -808,8 +749,8 @@ pub fn parse_chrome_trace(json: &str) -> Result<ParsedTrace, String> {
             ph,
             pid: field_u64(line, "pid").ok_or("event missing pid")?,
             tid: field_u64(line, "tid").ok_or("event missing tid")?,
-            cat: field_str(line, "cat").map(unescape_json).unwrap_or_default(),
-            name: field_str(line, "name").map(unescape_json).unwrap_or_default(),
+            cat: field_str(line, "cat").map(json::unescape).unwrap_or_default(),
+            name: field_str(line, "name").map(json::unescape).unwrap_or_default(),
             span: field_u64(line, "span").unwrap_or(0),
             parent: field_u64(line, "parent").unwrap_or(0),
             model_ns: field_u64(line, "model_ns").ok_or("event missing model_ns")?,
