@@ -16,15 +16,14 @@
 //! | [`paldb`] | Fig. 7, Fig. 10 (PalDB) |
 //! | [`graph`] | Fig. 9, Fig. 11 (GraphChi PageRank) |
 //! | [`spec`] | Fig. 12, Table 1 (SPECjvm2008) |
-//! | [`tuning`] | Switchless-tuner policy comparison (`switchless_tuning`) |
 //! | [`traffic`] | Open-loop sustained-traffic harness (`traffic_service`) |
-//! | [`scheduler`] | Work-stealing scheduler ablation (`scheduler_ablation`) |
 //!
-//! Pass `--quick` to any binary for a shrunk run. The eight
-//! self-checking bins (the ablations, `traffic_service`,
-//! `partition_advisor`, `switchless_tuning`) evaluate their claims
-//! through [`report::Gate`] and write one `montsalvat.bench/v1`
-//! envelope with `--json-out`.
+//! Pass `--quick` to any binary for a shrunk run. The six
+//! self-checking bins (`gc_ablation`, `serde_ablation`,
+//! `switchless_ablation`, `timeline_ablation`, `traffic_service`,
+//! `partition_advisor`) evaluate their claims through
+//! [`report::Gate`] and write one `montsalvat.bench/v1` envelope with
+//! `--json-out`.
 
 pub mod gc;
 pub mod graph;
@@ -32,10 +31,8 @@ pub mod micro;
 pub mod paldb;
 pub mod progs;
 pub mod report;
-pub mod scheduler;
 pub mod spec;
 pub mod synthetic;
 pub mod traffic;
-pub mod tuning;
 
 pub use report::Scale;

@@ -122,6 +122,55 @@ pub fn proxy_bench_entries() -> Vec<MethodRef> {
 }
 
 // ---------------------------------------------------------------------
+// Switchless ablation: nested crossings
+// ---------------------------------------------------------------------
+
+/// The nested-crossing program of the switchless ablation: untrusted
+/// callers invoke `@Trusted TNest.ping(x)`, whose body constructs an
+/// `@Untrusted UObj(x)` and reads it back — so every serve makes two
+/// *nested* crossings back out of the enclave, which the switchless
+/// scheduler serves by suspending the task rather than blocking its
+/// executor.
+pub fn nested_bench_program() -> Program {
+    let ping = MethodDef::interpreted(
+        "ping",
+        MethodKind::Instance,
+        1,
+        2,
+        vec![
+            Instr::New { dst: 1, class: "UObj".into(), args: vec![Operand::Local(0)] },
+            Instr::Call {
+                dst: Some(1),
+                class: "UObj".into(),
+                recv: Operand::Local(1),
+                method: "get".into(),
+                args: vec![],
+            },
+            Instr::Return { value: Some(Operand::Local(1)) },
+        ],
+    );
+    Program::new(
+        vec![
+            obj_class("UObj", Trust::Untrusted),
+            ClassDef::new("TNest").trust(Trust::Trusted).method(empty_ctor()).method(ping),
+            trivial_main(Trust::Untrusted),
+        ],
+        MethodRef::new("Main", "main"),
+    )
+    .expect("nested bench program is well-formed")
+}
+
+/// Dynamic entry points the nested benchmark needs.
+pub fn nested_bench_entries() -> Vec<MethodRef> {
+    vec![
+        MethodRef::new("TNest", CTOR),
+        MethodRef::new("TNest", "ping"),
+        MethodRef::new("UObj", CTOR),
+        MethodRef::new("UObj", "get"),
+    ]
+}
+
+// ---------------------------------------------------------------------
 // Figures 7 & 10: PalDB
 // ---------------------------------------------------------------------
 
@@ -446,6 +495,37 @@ mod tests {
         let trusted = p.classes.iter().filter(|c| c.trust == Trust::Trusted).count();
         assert_eq!(untrusted, 30);
         assert_eq!(trusted, 70);
+    }
+
+    #[test]
+    fn nested_bench_echoes_through_real_nested_crossings() {
+        use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
+        use montsalvat_core::exec::switchless::SwitchlessConfig;
+        use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
+        use montsalvat_core::transform::transform;
+
+        let tp = transform(&nested_bench_program());
+        let options = ImageOptions::with_entry_points(nested_bench_entries());
+        let (t, u) = build_partitioned_images(&tp, &options, &options).expect("images build");
+        let config = AppConfig {
+            gc_helper_interval: None,
+            clock_mode: sgx_sim::cost::ClockMode::Virtual,
+            switchless: Some(SwitchlessConfig::fixed(2)),
+            ..AppConfig::default()
+        };
+        let app = PartitionedApp::launch(&t, &u, config).expect("launch");
+        app.enter_untrusted(|ctx| {
+            let obj = ctx.new_object("TNest", &[])?;
+            for x in 0..6 {
+                assert_eq!(ctx.call(&obj, "ping", &[Value::Int(x)])?, Value::Int(x));
+            }
+            Ok(())
+        })
+        .expect("pings run");
+        // The construction, then per ping the call and its two nested
+        // crossings.
+        assert_eq!(app.telemetry_snapshot().counter(telemetry::Counter::RmiCalls), 1 + 6 * 3);
+        app.shutdown();
     }
 
     #[test]

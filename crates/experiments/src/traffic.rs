@@ -34,15 +34,11 @@
 //! scheduler) and `passthrough` classic (see
 //! [`montsalvat_core::provider`]) — so one run compares what SGX
 //! costs, what the switchless scheduler buys back, and what the
-//! partitioning machinery costs by itself.
-//! [`TrafficConfig::max_inflight`] widens the virtual
-//! replay from one server to `c`; the default of 1 keeps every
-//! historical lane byte-identical. The `traffic_service` binary gates
-//! the results against `results/traffic_baseline.json`
+//! partitioning machinery costs by itself. The `traffic_service`
+//! binary gates the results against `results/traffic_baseline.json`
 //! (`docs/DEPLOYMENT.md`).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use montsalvat_core::class::{ClassDef, MethodDef, MethodKind, MethodRef, Program, CTOR};
@@ -105,13 +101,6 @@ pub struct TrafficConfig {
     /// time-series. `None` for measurement runs — the CI latency
     /// baseline assumes no churn.
     pub gc_churn: Option<GcChurn>,
-    /// Virtual servers in the open-loop replay: request `i` starts at
-    /// `max(arrival_i, earliest-free-server)` over `max_inflight`
-    /// servers, so depths above 1 let bursts overlap instead of
-    /// serialising behind one completion chain. The default of 1 is
-    /// the historical single-server replay and keeps the gated lanes
-    /// byte-identical.
-    pub max_inflight: usize,
 }
 
 /// A deterministic injected GC stall (see [`TrafficConfig::inject_gc`]).
@@ -153,7 +142,6 @@ impl TrafficConfig {
             inject_gc: None,
             collector: None,
             gc_churn: None,
-            max_inflight: 1,
         }
     }
 
@@ -526,13 +514,9 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
         let mut latencies = Vec::with_capacity(ops.len());
         let mut checksum = 0xCBF2_9CE4_8422_2325u64;
         let (mut hits, mut misses, mut puts) = (0u64, 0u64, 0u64);
-        // Virtual servers of the open-loop replay: each entry is the
-        // model time at which that server frees up. Depth 1 (the
-        // default) degenerates to the historical single completion
-        // chain, bit for bit.
-        let mut servers: BinaryHeap<Reverse<u64>> =
-            (0..cfg.max_inflight.max(1)).map(|_| Reverse(0u64)).collect();
-        let mut horizon_ns = 0u64;
+        // Model time at which the replay's one virtual server frees
+        // up: the previous request's completion.
+        let mut free_ns = 0u64;
         let mut churn_events = 0usize;
         for (i, op) in ops.iter().enumerate() {
             let injected = cfg.inject_gc.filter(|inj| inj.at_request == i);
@@ -567,21 +551,16 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
             }
             let service_ns = (cost.charged().as_nanos() as u64).saturating_sub(before_ns);
             // Open-loop accounting on the virtual arrival timeline:
-            // the request starts when it has arrived *and* one of the
-            // `max_inflight` virtual servers is free.
-            let Reverse(free_ns) = servers.pop().expect("at least one virtual server");
+            // the request starts when it has arrived *and* the previous
+            // one has completed.
             let start_ns = free_ns.max(op.arrival_ns);
-            let completion_ns = start_ns + service_ns;
-            servers.push(Reverse(completion_ns));
-            let latency_ns = completion_ns - op.arrival_ns;
+            free_ns = start_ns + service_ns;
+            let latency_ns = free_ns - op.arrival_ns;
             // Advance the window clock *before* recording, so the
             // request's metrics — and the injected GC evidence — land
-            // in the window containing its completion. With several
-            // servers completions can land out of arrival order, so
-            // the clock follows the furthest completion seen.
-            horizon_ns = horizon_ns.max(completion_ns);
+            // in the window containing its completion.
             if let Some(flight) = flight_ref.as_mut() {
-                flight.tick(horizon_ns);
+                flight.tick(free_ns);
             }
             if let Some(inj) = injected {
                 recorder.incr(Counter::GcCollections);
@@ -606,7 +585,7 @@ pub fn run_lane(spec: LaneSpec, cfg: &TrafficConfig) -> Result<LaneResult, VmErr
                 }
             }
         }
-        Ok((latencies, checksum, hits, misses, puts, horizon_ns))
+        Ok((latencies, checksum, hits, misses, puts, free_ns))
     })?;
 
     let model_time_ns = (cost.charged().as_nanos() as u64).saturating_sub(model_start_ns);
@@ -741,32 +720,6 @@ mod tests {
         let latency_obs: u64 =
             series.windows.iter().map(|w| w.delta.hist(Hist::TrafficLatencyNs).count).sum();
         assert_eq!(latency_obs, cfg.requests as u64);
-    }
-
-    /// The in-flight-depth knob changes only the virtual replay, never
-    /// the computation: responses stay byte-identical, and letting
-    /// bursts overlap across more servers can only shed queueing delay.
-    #[test]
-    fn deeper_inflight_replay_keeps_responses_and_sheds_queueing() {
-        let shallow_cfg = tiny();
-        let deep_cfg = TrafficConfig { max_inflight: 8, ..tiny() };
-        let shallow = run_lane(lanes()[0], &shallow_cfg).expect("depth-1 lane runs");
-        let deep = run_lane(lanes()[0], &deep_cfg).expect("depth-8 lane runs");
-        assert_eq!(shallow.checksum, deep.checksum, "replay depth is invisible to responses");
-        assert_eq!(
-            (shallow.hits, shallow.misses, shallow.puts),
-            (deep.hits, deep.misses, deep.puts),
-            "hit/miss/put accounting is depth-independent"
-        );
-        assert!(
-            deep.latency.p95_ns <= shallow.latency.p95_ns
-                && deep.latency.p99_ns <= shallow.latency.p99_ns,
-            "8 servers must not queue worse than 1: p95 {} vs {}, p99 {} vs {}",
-            deep.latency.p95_ns,
-            shallow.latency.p95_ns,
-            deep.latency.p99_ns,
-            shallow.latency.p99_ns
-        );
     }
 
     #[test]

@@ -26,11 +26,10 @@
 //! Every posted call resolves as exactly one switchless hit
 //! (`rmi.switchless_calls`) or one classic fallback
 //! (`rmi.switchless_fallbacks`), so `rmi.calls == hits + fallbacks`
-//! — the invariant the CI bench gates check. The ablation binaries
-//! `switchless_ablation` (engine vs classic) and `scheduler_ablation`
-//! (≥ 10k in-flight calls) exercise it; `docs/SWITCHLESS.md`
-//! documents the design and the retired thread-per-worker pool's last
-//! recorded numbers.
+//! — the invariant the CI bench gates check. The `switchless_ablation`
+//! binary exercises it on bursty and nested-crossing loads;
+//! `docs/SWITCHLESS.md` documents the design and the retired
+//! thread-per-worker pool's last recorded numbers.
 
 pub(crate) mod scheduler;
 pub(crate) mod task;
@@ -101,21 +100,6 @@ impl SwitchlessConfig {
     /// (default [`TunerConfig`]).
     pub fn autotuned() -> Self {
         SwitchlessConfig { autotune: Some(TunerConfig::default()), ..Self::default() }
-    }
-
-    /// Applies the `MONTSALVAT_AUTOTUNE` environment override: `1`
-    /// (or `true`/`on`) attaches the default tuner if none is
-    /// configured, `0` (or `false`/`off`) detaches any configured
-    /// tuner; other values leave the config alone.
-    pub fn with_env_autotune(mut self) -> Self {
-        match std::env::var("MONTSALVAT_AUTOTUNE").ok().as_deref() {
-            Some("1") | Some("true") | Some("on") if self.autotune.is_none() => {
-                self.autotune = Some(TunerConfig::default());
-            }
-            Some("0") | Some("false") | Some("off") => self.autotune = None,
-            _ => {}
-        }
-        self
     }
 
     /// Clamps the invariants the scheduler relies on: at least one
