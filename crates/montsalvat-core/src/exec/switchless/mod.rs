@@ -15,9 +15,12 @@
 //! injector batches last. An executor blocked on a nested crossing
 //! *suspends* — it parks the task's state on its stack and serves
 //! other tasks while it waits — so tens of thousands of crossings can
-//! be in flight on a handful of threads. A dedicated `timeout` worker
-//! sweeps overdue tasks into the classic-fallback path, and a full
-//! injector rejects immediately (backpressure) instead of blocking.
+//! be in flight on a handful of threads. Both ends of the hand-off
+//! spin for [`SPIN_BUDGET`] before they park, so a crossing served
+//! within it costs no thread wake-up. Each poster owns its task's
+//! deadline and times an overdue task out into the classic-fallback
+//! path itself, and a full injector rejects immediately
+//! (backpressure) instead of blocking.
 //! Miss-driven scaling sizes the executor pool between `min_workers`
 //! and `max_workers`; the optional [`tuner`] control law, fed by the
 //! always-on task-wait histogram (`rmi.sched_task_wait_ns`), resizes
@@ -33,7 +36,6 @@
 
 pub(crate) mod scheduler;
 pub(crate) mod task;
-pub(crate) mod timeout;
 pub mod tuner;
 
 use std::sync::Arc;
@@ -50,6 +52,7 @@ use crate::exec::ctx::WireMsg;
 use tuner::{Tuner, TunerConfig};
 
 pub(crate) use scheduler::Scheduler;
+pub use scheduler::SPIN_BUDGET;
 
 /// Configuration of the switchless call machinery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,15 +134,15 @@ pub struct SchedulerConfig {
     /// grabbed surplus lands on its local deque where siblings can
     /// steal it. The tuner's `target_batch` retunes this at run time.
     pub steal_batch: usize,
-    /// Wall-clock age past which a still-queued task is swept into the
-    /// classic-fallback path by the timeout worker.
+    /// Wall-clock age past which a still-queued task is timed out into
+    /// the classic-fallback path by its own poster.
     pub task_timeout: Duration,
 }
 
 impl Default for SchedulerConfig {
     /// Defaults sized for the open-loop traffic harness: a deep
     /// injector (tens of thousands of in-flight tasks), small steal
-    /// batches, a generous sweep age.
+    /// batches, a generous task deadline.
     fn default() -> Self {
         SchedulerConfig {
             injector_capacity: 16_384,
@@ -172,7 +175,7 @@ pub(crate) enum PostOutcome {
     /// An executor served the call; this is the relay's reply.
     Served(Result<WireMsg, VmError>),
     /// The scheduler could not serve the call (full injector or a
-    /// swept timeout) — the caller must perform a classic crossing
+    /// timed-out task) — the caller must perform a classic crossing
     /// (the probe charge has already been paid).
     Fallback,
 }

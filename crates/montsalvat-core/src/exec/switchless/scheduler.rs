@@ -25,11 +25,16 @@
 //!   reply arrives (charged [`CostParams::sched_resume_ns`]). This is
 //!   help-first stealing: the thread is returned to the pool even
 //!   though the task is not done.
-//! - **Timeouts**: the dedicated [`timeout`](super::timeout) worker
-//!   sweeps tasks still `QUEUED` past
-//!   [`SchedulerConfig::task_timeout`] into the classic-fallback path
-//!   (counted `rmi.sched_timeouts`), so a stalled executor pool can
-//!   never strand a poster.
+//! - **Hand-off**: a poster polls its reply, and an idle executor its
+//!   side's queue, for [`SPIN_BUDGET`] before parking, yielding the CPU
+//!   between polls, and only while the scheduler's threads leave a CPU
+//!   free; a post wakes an executor only if one announced a park. A
+//!   crossing served within the budget costs no futex wake-up.
+//! - **Timeouts**: each poster owns its task's deadline
+//!   ([`SchedulerConfig::task_timeout`] after the post). Past it, the
+//!   poster claims a task still `QUEUED` itself and takes the
+//!   classic-fallback path (counted `rmi.sched_timeouts`), so a
+//!   stalled executor pool can never strand a poster.
 //! - **Tuning**: the optional [`tuner`](super::tuner) control law
 //!   sizes the executor pool and retunes the injector grab bound
 //!   (`target_batch` → the steal batch) from the always-on task-wait
@@ -48,19 +53,19 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use rmi::hash::ProxyHash;
 use sgx_sim::cost::CostModel;
 use telemetry::AtomicHistogram;
 
-use super::task::{with_current_task, ServeTask, TaskCompletion, TaskStage};
+use super::task::{with_current_task, ServeTask, TaskStage};
 use super::tuner::{Decision, Observation, WorkerAction};
-use super::{timeout, TunerRuntime};
+use super::TunerRuntime;
 use super::{PostOutcome, SchedulerConfig, ServeFn, SideStats, SwitchlessConfig, SwitchlessStats};
 use crate::annotation::Side;
 use crate::error::VmError;
@@ -70,6 +75,59 @@ use crate::exec::ctx::WireMsg;
 /// to a plain blocking wait (bounds stack growth under deep help-first
 /// recursion).
 const MAX_HELP_DEPTH: usize = 64;
+
+/// How long a waiter on either end of the hand-off spins before it
+/// parks: long enough to cover one served crossing on the host, short
+/// enough that an idle executor burns almost nothing per `idle_park`.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Scheduler threads in this process that hold a CPU: executors
+/// serving a task (nested waits included) and waiters spinning.
+static ON_CPU: AtomicUsize = AtomicUsize::new(0);
+
+/// One count in [`ON_CPU`], given back on drop (unwinding out of a
+/// panicking serve included).
+struct OnCpu;
+
+impl OnCpu {
+    fn enter() -> OnCpu {
+        ON_CPU.fetch_add(1, Ordering::Relaxed);
+        OnCpu
+    }
+}
+
+impl Drop for OnCpu {
+    fn drop(&mut self) {
+        ON_CPU.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Polls `ready` until it yields or [`SPIN_BUDGET`] runs out, giving
+/// the CPU away between polls. Polls once instead when other threads
+/// counted in [`ON_CPU`] already fill every CPU (a single-CPU host, or
+/// more posters and executors than cores): a spinner there only delays
+/// the thread it waits for.
+fn spin_until<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let _on_cpu = OnCpu::enter();
+    if ON_CPU.load(Ordering::Relaxed) > cpus {
+        return ready();
+    }
+    let until = Instant::now() + SPIN_BUDGET;
+    loop {
+        if let Some(done) = ready() {
+            return Some(done);
+        }
+        if Instant::now() >= until {
+            return None;
+        }
+        // Unlike a bare spin hint, a yield hands the CPU to a runnable
+        // thread placed on this core, such as the executor serving the
+        // very task this poster waits for.
+        std::thread::yield_now();
+    }
+}
 
 /// One executor's stealable work queue. The owner pushes and pops at
 /// the back (LIFO, cache-warm); thieves take from the front (FIFO,
@@ -87,16 +145,19 @@ pub(crate) struct SchedSide {
     pub(crate) injector: Mutex<VecDeque<Arc<ServeTask>>>,
     /// Per-executor local deques, one per potential executor.
     pub(crate) slots: Vec<Slot>,
-    /// Wake tokens: one per post, so parked executors rouse promptly.
+    /// Wake tokens: one per post that finds an executor sleeping.
     wake_tx: Sender<()>,
     wake_rx: Receiver<()>,
     /// Resident executors (`min_workers ≤ active ≤ max_workers`).
     pub(crate) active: AtomicUsize,
-    /// Executors parked on (or about to poll) the wake channel.
+    /// Executors not serving: spinning, parked, or about to poll.
     pub(crate) idle: AtomicUsize,
+    /// Executors that announced a park on the wake channel; a post
+    /// sends a wake token only when this is nonzero.
+    sleeping: AtomicUsize,
     /// Tasks posted and not yet claimed (injector + deques).
     pub(crate) queued: AtomicUsize,
-    /// Tasks posted and not yet completed (served or swept).
+    /// Tasks posted and not yet completed (served or timed out).
     pub(crate) inflight: AtomicUsize,
     /// Misses accumulated since the last scale-up.
     misses: AtomicU64,
@@ -107,7 +168,7 @@ pub(crate) struct SchedSide {
     /// Tuner-chosen injector grab bound (starts at
     /// [`SchedulerConfig::steal_batch`]).
     steal_target: AtomicUsize,
-    /// Classic fallbacks on this side — rejects *and* sweeps
+    /// Classic fallbacks on this side — rejects *and* timeouts
     /// (windowed by the tuner).
     pub(crate) fallbacks: AtomicU64,
     /// Per-side task-wait distribution (model ns); same values as the
@@ -117,10 +178,6 @@ pub(crate) struct SchedSide {
     batch_hist: AtomicHistogram,
     /// Posts since the tuner's last tick on this side.
     posts_since_tick: AtomicU64,
-    /// Timeout registry: `(wall deadline, task)` in post order. The
-    /// deadline is a constant offset from the post, so the deque is
-    /// deadline-sorted by construction.
-    pub(crate) timeouts: Mutex<VecDeque<(Instant, Weak<ServeTask>)>>,
 }
 
 impl SchedSide {
@@ -139,6 +196,7 @@ impl SchedSide {
             wake_rx,
             active: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
+            sleeping: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             misses: AtomicU64::new(0),
@@ -149,7 +207,6 @@ impl SchedSide {
             wait_hist: AtomicHistogram::new(),
             batch_hist: AtomicHistogram::new(),
             posts_since_tick: AtomicU64::new(0),
-            timeouts: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -187,8 +244,7 @@ thread_local! {
 }
 
 /// The per-application work-stealing scheduler: one injector + slot
-/// array per side, served by that side's executor pool, swept by one
-/// shared timeout worker.
+/// array per side, served by that side's executor pool.
 pub(crate) struct Scheduler {
     config: SwitchlessConfig,
     sched: SchedulerConfig,
@@ -213,10 +269,10 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Spawns `min_workers` executors per side plus the timeout
-    /// worker. `serve` is the relay dispatcher bound to the
-    /// application; `cost` is the application's cost model, whose
-    /// recorder receives the scheduler's telemetry.
+    /// Spawns `min_workers` executors per side. `serve` is the relay
+    /// dispatcher bound to the application; `cost` is the
+    /// application's cost model, whose recorder receives the
+    /// scheduler's telemetry.
     pub(crate) fn spawn(config: &SwitchlessConfig, serve: ServeFn, cost: Arc<CostModel>) -> Self {
         let config = config.normalized();
         let sched = config.scheduler.clone().unwrap_or_default().normalized();
@@ -235,22 +291,11 @@ impl Scheduler {
             tuner,
         };
         for side in [Side::Trusted, Side::Untrusted] {
-            let state = Arc::clone(scheduler.side(side));
             for _ in 0..scheduler.config.min_workers {
-                state.active.fetch_add(1, Ordering::Relaxed);
-                scheduler.spawn_executor(&state);
+                scheduler.grow(scheduler.side(side));
+                scheduler.spawn_executor(scheduler.side(side));
             }
-            let recorder = scheduler.cost.recorder();
-            recorder.gauge_max(
-                telemetry::Gauge::SwitchlessWorkersPeak,
-                scheduler.config.min_workers as u64,
-            );
-            recorder.gauge_set(
-                telemetry::Gauge::SwitchlessWorkers,
-                scheduler.config.min_workers as u64,
-            );
         }
-        scheduler.spawn_timeout_worker();
         scheduler
     }
 
@@ -273,7 +318,7 @@ impl Scheduler {
 
     /// Posts a call to `side`'s injector. On admission, waits for the
     /// task's completion — helping-first if the calling thread is
-    /// itself an executor. On a full injector (or a swept timeout),
+    /// itself an executor. On a full injector (or a timed-out task),
     /// charges the probe and returns [`PostOutcome::Fallback`]; the
     /// poster is never blocked on admission.
     pub(crate) fn post(
@@ -297,7 +342,7 @@ impl Scheduler {
         // classic path degrades gracefully; blocking here would not.
         // Admission reserves the slot atomically, so concurrent posters
         // can never push the queue past `injector_capacity`.
-        let queued = state.queued.fetch_add(1, Ordering::Relaxed) + 1;
+        let queued = state.queued.fetch_add(1, Ordering::SeqCst) + 1;
         if queued > self.sched.injector_capacity {
             state.queued.fetch_sub(1, Ordering::Relaxed);
             recorder.incr(telemetry::Counter::SwitchlessFallbacks);
@@ -314,48 +359,50 @@ impl Scheduler {
         let posted = tracer.is_enabled().then(|| (now, tracer.wall_now_ns()));
         let task =
             Arc::new(ServeTask::new(class_name, relay, recv_hash, msg, reply_tx, posted, now));
+        // The poster keeps only a weak reference: a strong one would
+        // keep the reply sender alive, so the death of the executor
+        // serving the task could never disconnect the reply channel.
+        let weak = Arc::downgrade(&task);
         let inflight = state.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         recorder.gauge_set(telemetry::Gauge::SchedInflight, inflight as u64);
         recorder.gauge_max(telemetry::Gauge::SwitchlessQueueDepthPeak, queued as u64);
         recorder.gauge_set(telemetry::Gauge::SwitchlessQueueDepth, queued as u64);
-        state
-            .timeouts
-            .lock()
-            .push_back((Instant::now() + self.sched.task_timeout, Arc::downgrade(&task)));
         state.injector.lock().push_back(task);
-        let _ = state.wake_tx.send(());
+        // Pairs with the executor's park announcement (`sleeping`,
+        // then `queued`): either this post sees the sleeper and sends
+        // a token, or the sleeper sees the task and does not park.
+        if state.sleeping.load(Ordering::SeqCst) > 0 {
+            let _ = state.wake_tx.send(());
+        }
         // The hand-off itself; the executor charges the wake, steal
         // and batched boundary copies as it schedules the task.
         self.cost.charge_ns(self.cost.params().switchless_call_ns);
-        match self.wait_for_completion(&reply_rx)? {
-            TaskCompletion::Served(out) => Ok(PostOutcome::Served(out)),
-            TaskCompletion::TimedOut => {
-                // The sweep already counted the fallback; the poster
-                // pays the probe and takes the classic path.
-                self.cost.charge_ns(self.cost.params().switchless_fallback_ns);
-                Ok(PostOutcome::Fallback)
-            }
-        }
+        self.wait_for_completion(state, &weak, &reply_rx)
     }
 
-    /// Waits for a posted task's completion. A plain thread blocks on
-    /// the reply channel. An *executor* thread
-    /// instead suspends: the pending task's state stays parked on this
-    /// stack while the thread serves other tasks of its home side,
-    /// checking for the reply between tasks.
+    /// Waits for a posted task's completion on `state`'s side until
+    /// its deadline, `task_timeout` from now, past which the poster
+    /// times the task out itself ([`Scheduler::expire`]). A plain
+    /// thread spins on the reply, then blocks on it. An *executor*
+    /// thread instead suspends: the pending task's state stays parked
+    /// on this stack while the thread serves other tasks of its home
+    /// side, checking for the reply between tasks. A disconnected
+    /// reply channel — the serving executor died mid-serve — is an
+    /// error.
     fn wait_for_completion(
         &self,
-        reply_rx: &Receiver<TaskCompletion>,
-    ) -> Result<TaskCompletion, VmError> {
-        let lost = |_| VmError::Sgx(sgx_sim::SgxError::EnclaveLost);
+        state: &SchedSide,
+        task: &Weak<ServeTask>,
+        reply_rx: &Receiver<Result<WireMsg, VmError>>,
+    ) -> Result<PostOutcome, VmError> {
+        let deadline = Instant::now() + self.sched.task_timeout;
+        let lost = || VmError::Sgx(sgx_sim::SgxError::EnclaveLost);
         let executor = EXECUTOR.with(|e| e.borrow().clone());
         let home = executor.as_ref().and_then(|e| e.side.upgrade());
-        let (Some(executor), Some(home)) = (executor, home) else {
-            return reply_rx.recv().map_err(lost);
+        let helper = executor.zip(home).filter(|_| HELP_DEPTH.with(|d| d.get()) < MAX_HELP_DEPTH);
+        let Some((executor, home)) = helper else {
+            return self.await_reply(state, task, reply_rx, deadline).ok_or_else(lost);
         };
-        if HELP_DEPTH.with(|d| d.get()) >= MAX_HELP_DEPTH {
-            return reply_rx.recv().map_err(lost);
-        }
         // Suspension: this thread is an executor — give it back to the
         // pool while the nested crossing is outstanding.
         HELP_DEPTH.with(|d| d.set(d.get() + 1));
@@ -363,8 +410,13 @@ impl Scheduler {
         recorder.incr(telemetry::Counter::SchedSuspends);
         self.cost.charge_ns(self.cost.params().sched_suspend_ns);
         let completion = loop {
-            if let Ok(done) = reply_rx.try_recv() {
-                break Ok(done);
+            if let Ok(out) = reply_rx.try_recv() {
+                break Some(PostOutcome::Served(out));
+            }
+            // Past the deadline, time the task out unless an executor
+            // already owns it; then keep helping until its reply.
+            if Instant::now() >= deadline && self.expire(state, task) {
+                break Some(PostOutcome::Fallback);
             }
             if let Some(task) = next_task(&home, executor.slot, &executor.cost) {
                 run_task(&home, &task, &executor.serve, &executor.cost);
@@ -372,15 +424,61 @@ impl Scheduler {
             }
             // Nothing to help with: wait briefly on the reply, staying
             // responsive to both the reply and fresh work.
-            match reply_rx.recv_timeout(std::time::Duration::from_micros(200)) {
-                Ok(done) => break Ok(done),
+            match reply_rx.recv_timeout(Duration::from_micros(200)) {
                 Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break Err(()),
+                reply => break reply.ok().map(PostOutcome::Served),
             }
         };
         HELP_DEPTH.with(|d| d.set(d.get() - 1));
         self.cost.charge_ns(self.cost.params().sched_resume_ns);
-        completion.map_err(|()| VmError::Sgx(sgx_sim::SgxError::EnclaveLost))
+        completion.ok_or_else(lost)
+    }
+
+    /// A plain poster's wait: spin on the reply, then block until
+    /// `deadline`; past it, time the task out or, if an executor owns
+    /// it, keep blocking for its reply. `None`: disconnected.
+    fn await_reply(
+        &self,
+        state: &SchedSide,
+        task: &Weak<ServeTask>,
+        reply_rx: &Receiver<Result<WireMsg, VmError>>,
+        deadline: Instant,
+    ) -> Option<PostOutcome> {
+        if let Some(done) = spin_until(|| match reply_rx.try_recv() {
+            Ok(out) => Some(Some(PostOutcome::Served(out))),
+            Err(TryRecvError::Disconnected) => Some(None),
+            Err(TryRecvError::Empty) => None,
+        }) {
+            return done;
+        }
+        match reply_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Err(RecvTimeoutError::Timeout) if self.expire(state, task) => {
+                Some(PostOutcome::Fallback)
+            }
+            Err(RecvTimeoutError::Timeout) => reply_rx.recv().ok().map(PostOutcome::Served),
+            reply => reply.ok().map(PostOutcome::Served),
+        }
+    }
+
+    /// Times `task` out (`QUEUED → TIMED_OUT`, so no executor serves it
+    /// afterwards; its stale queue entry is dropped at claim time),
+    /// counts the fallback and charges the poster's failed probe. False
+    /// when an executor already owns the task, or it is gone: its reply
+    /// arrives the normal way.
+    fn expire(&self, state: &SchedSide, task: &Weak<ServeTask>) -> bool {
+        if !task.upgrade().is_some_and(|task| task.claim_for_timeout()) {
+            return false;
+        }
+        let queued = state.queued.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
+        let inflight = state.inflight.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
+        let recorder = self.cost.recorder();
+        recorder.incr(telemetry::Counter::SchedTimeouts);
+        recorder.incr(telemetry::Counter::SwitchlessFallbacks);
+        state.fallbacks.fetch_add(1, Ordering::Relaxed);
+        recorder.gauge_set(telemetry::Gauge::SchedInflight, inflight as u64);
+        recorder.gauge_set(telemetry::Gauge::SwitchlessQueueDepth, queued as u64);
+        self.cost.charge_ns(self.cost.params().switchless_fallback_ns);
+        true
     }
 
     /// One tuner bookkeeping step for a call that just completed on
@@ -433,18 +531,8 @@ impl Scheduler {
         let mut downs = 0u64;
         match decision.workers {
             WorkerAction::Grow => {
-                let n = state.active.load(Ordering::Relaxed);
-                if n < self.config.max_workers
-                    && state
-                        .active
-                        .compare_exchange(n, n + 1, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    state
-                        .tuner_target
-                        .store((n + 1).min(self.config.max_workers), Ordering::Relaxed);
-                    recorder.gauge_max(telemetry::Gauge::SwitchlessWorkersPeak, (n + 1) as u64);
-                    recorder.gauge_set(telemetry::Gauge::SwitchlessWorkers, (n + 1) as u64);
+                if let Some(n) = self.grow(state) {
+                    state.tuner_target.store(n, Ordering::Relaxed);
                     self.spawn_executor(state);
                     ups += 1;
                 }
@@ -490,25 +578,28 @@ impl Scheduler {
     /// Spawns one more executor on `state`'s side if miss pressure has
     /// accumulated and the pool is below `max_workers`.
     fn maybe_scale_up(&self, state: &Arc<SchedSide>) {
-        if state.misses.load(Ordering::Relaxed) < self.config.scale_up_misses {
-            return;
+        if state.misses.load(Ordering::Relaxed) >= self.config.scale_up_misses
+            && self.grow(state).is_some()
+        {
+            state.misses.store(0, Ordering::Relaxed);
+            self.cost.recorder().incr(telemetry::Counter::SwitchlessScaleUps);
+            self.spawn_executor(state);
         }
-        loop {
-            let n = state.active.load(Ordering::Relaxed);
-            if n >= self.config.max_workers {
-                return;
-            }
-            if state.active.compare_exchange(n, n + 1, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-            {
-                state.misses.store(0, Ordering::Relaxed);
-                let recorder = self.cost.recorder();
-                recorder.incr(telemetry::Counter::SwitchlessScaleUps);
-                recorder.gauge_max(telemetry::Gauge::SwitchlessWorkersPeak, (n + 1) as u64);
-                recorder.gauge_set(telemetry::Gauge::SwitchlessWorkers, (n + 1) as u64);
-                self.spawn_executor(state);
-                return;
-            }
-        }
+    }
+
+    /// Counts one more executor on `state`'s side, unless it already
+    /// runs `max_workers`, and returns the new count; the caller then
+    /// spawns it.
+    fn grow(&self, state: &SchedSide) -> Option<usize> {
+        let max = self.config.max_workers;
+        let n = 1 + state
+            .active
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < max).then_some(n + 1))
+            .ok()?;
+        let recorder = self.cost.recorder();
+        recorder.gauge_max(telemetry::Gauge::SwitchlessWorkersPeak, n as u64);
+        recorder.gauge_set(telemetry::Gauge::SwitchlessWorkers, n as u64);
+        Some(n)
     }
 
     /// Spawns one executor thread for `state`'s side. The caller has
@@ -533,22 +624,8 @@ impl Scheduler {
         self.threads.lock().push(handle);
     }
 
-    /// Spawns the shared timeout worker that sweeps both sides.
-    fn spawn_timeout_worker(&self) {
-        let trusted = Arc::clone(&self.trusted);
-        let untrusted = Arc::clone(&self.untrusted);
-        let cost = Arc::clone(&self.cost);
-        let task_timeout = self.sched.task_timeout;
-        let handle = std::thread::Builder::new()
-            .name("sched-timeout".into())
-            .spawn(move || timeout::timeout_loop(&[trusted, untrusted], &cost, task_timeout))
-            .expect("spawn scheduler timeout worker");
-        self.threads.lock().push(handle);
-    }
-
-    /// Stops the executors and the timeout worker: parked executors
-    /// are woken (or exit at their next poll), then every thread is
-    /// joined.
+    /// Stops the executors: parked executors are woken (or exit at
+    /// their next poll), then every thread is joined.
     pub(crate) fn shutdown(self) {
         for state in [&self.trusted, &self.untrusted] {
             state.stop.store(true, Ordering::Relaxed);
@@ -564,8 +641,8 @@ impl Scheduler {
 }
 
 /// One executor: find work (own deque → steal → injector), serve it,
-/// park when there is none; retire when idle past the park interval
-/// and the pool is above its floor.
+/// spin and then park when there is none; retire when idle past the
+/// park interval and the pool is above its floor.
 fn executor_loop(
     state: &Arc<SchedSide>,
     slot: usize,
@@ -598,47 +675,65 @@ fn executor_loop(
                 cost.charge_ns(params.switchless_wake_ns);
                 parked = false;
             }
+            let on_cpu = OnCpu::enter();
             run_task(state, &task, serve, cost);
+            drop(on_cpu);
             state.idle.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        // Nothing to do: watch the queue for the spin budget before
+        // paying for a park and, later, a wake-up.
+        let pending =
+            || state.queued.load(Ordering::Relaxed) > 0 || state.stop.load(Ordering::Relaxed);
+        if spin_until(|| pending().then_some(())).is_some() {
+            continue;
+        }
+        // Announce the park, then look once more: a post that missed
+        // the announcement is visible here (see `post`).
+        state.sleeping.fetch_add(1, Ordering::SeqCst);
+        let woke = if state.queued.load(Ordering::SeqCst) > 0 {
+            Ok(())
         } else {
-            match state.wake_rx.recv_timeout(config.idle_park) {
-                // A token arrived — loop around and look for the work
-                // it announced (a sibling may already have taken it).
-                Ok(()) => continue,
-                Err(RecvTimeoutError::Timeout) => {
-                    if state.stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Idle a full park interval: retire if above the
-                    // tuner's executor target (which never drops below
-                    // `min_workers`).
-                    let floor = state.tuner_target.load(Ordering::Relaxed).max(config.min_workers);
-                    if try_retire(state, floor) {
-                        recorder.incr(telemetry::Counter::SwitchlessScaleDowns);
-                        recorder.gauge_set(
-                            telemetry::Gauge::SwitchlessWorkers,
-                            state.active.load(Ordering::Relaxed) as u64,
-                        );
-                        retired = true;
-                        break;
-                    }
-                    // The tuner only ticks on posts, so once the load
-                    // stops it can never shrink its target again. An
-                    // idle park is that missing idle signal: decay the
-                    // target one step, and a grown pool drains back
-                    // to `min_workers` instead of staying pinned.
-                    if floor > config.min_workers {
-                        let _ = state.tuner_target.compare_exchange(
-                            floor,
-                            floor - 1,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                    }
-                    parked = true;
+            state.wake_rx.recv_timeout(config.idle_park)
+        };
+        state.sleeping.fetch_sub(1, Ordering::SeqCst);
+        match woke {
+            // A token arrived (or work did) — loop around and look for
+            // it (a sibling may already have taken it).
+            Ok(()) => continue,
+            Err(RecvTimeoutError::Timeout) => {
+                if state.stop.load(Ordering::Relaxed) {
+                    break;
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
+                // Idle a full park interval: retire if above the
+                // tuner's executor target (which never drops below
+                // `min_workers`).
+                let floor = state.tuner_target.load(Ordering::Relaxed).max(config.min_workers);
+                if try_retire(state, floor) {
+                    recorder.incr(telemetry::Counter::SwitchlessScaleDowns);
+                    recorder.gauge_set(
+                        telemetry::Gauge::SwitchlessWorkers,
+                        state.active.load(Ordering::Relaxed) as u64,
+                    );
+                    retired = true;
+                    break;
+                }
+                // The tuner only ticks on posts, so once the load
+                // stops it can never shrink its target again. An
+                // idle park is that missing idle signal: decay the
+                // target one step, and a grown pool drains back
+                // to `min_workers` instead of staying pinned.
+                if floor > config.min_workers {
+                    let _ = state.tuner_target.compare_exchange(
+                        floor,
+                        floor - 1,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
+                }
+                parked = true;
             }
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     if !retired {
@@ -725,7 +820,7 @@ fn next_task(state: &Arc<SchedSide>, slot: usize, cost: &Arc<CostModel>) -> Opti
 /// Claims and serves one task end to end: advance the stage machine,
 /// record the task wait, execute the relay (with the task current, so
 /// `serve_relay_inner` can advance decode/execute/encode), and deliver
-/// the reply. A task the timeout worker already swept is dropped.
+/// the reply. A task its poster already timed out is dropped.
 fn run_task(state: &Arc<SchedSide>, task: &Arc<ServeTask>, serve: &ServeFn, cost: &Arc<CostModel>) {
     if !task.claim_for_run() {
         return;
@@ -758,7 +853,7 @@ fn run_task(state: &Arc<SchedSide>, task: &Arc<ServeTask>, serve: &ServeFn, cost
     task.set_stage(TaskStage::Complete);
     let inflight = state.inflight.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
     recorder.gauge_set(telemetry::Gauge::SchedInflight, inflight as u64);
-    let _ = task.reply.send(TaskCompletion::Served(out));
+    let _ = task.reply.send(out);
 }
 
 #[cfg(test)]
@@ -797,7 +892,10 @@ mod tests {
         SwitchlessConfig { scheduler: Some(sched), ..SwitchlessConfig::fixed(workers) }
     }
 
-    fn task_for(side: &Arc<SchedSide>, id: u32) -> (Arc<ServeTask>, Receiver<TaskCompletion>) {
+    fn task_for(
+        side: &Arc<SchedSide>,
+        id: u32,
+    ) -> (Arc<ServeTask>, Receiver<Result<WireMsg, VmError>>) {
         let (tx, rx) = bounded(1);
         let task = Arc::new(ServeTask::new(format!("C{id}"), "r".into(), None, msg(), tx, None, 0));
         side.queued.fetch_add(1, Ordering::Relaxed);
@@ -817,6 +915,24 @@ mod tests {
         }
         assert_eq!(sched.stats().trusted.queued, 0);
         sched.shutdown();
+    }
+
+    /// Once scheduler threads hold every CPU, a waiter polls once and
+    /// goes on to park instead of spinning out the budget. (Other tests
+    /// running alongside can only raise the count, never lower it.)
+    #[test]
+    fn waiters_do_not_spin_when_scheduler_threads_fill_every_cpu() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let held: Vec<OnCpu> = (0..cpus).map(|_| OnCpu::enter()).collect();
+        let mut polls = 0;
+        let started = Instant::now();
+        let spun = spin_until(|| {
+            polls += 1;
+            None::<()>
+        });
+        assert_eq!((spun, polls), (None, 1));
+        assert!(started.elapsed() < SPIN_BUDGET);
+        drop(held);
     }
 
     /// Miss pressure spawns executors up to `max_workers` and never
@@ -1024,8 +1140,8 @@ mod tests {
         }
     }
 
-    /// The timeout worker sweeps a task that sat queued past its
-    /// deadline into the fallback path: the poster gets `Fallback`,
+    /// A task that sat queued past its deadline is timed out into the
+    /// fallback path by its own poster: the poster gets `Fallback`,
     /// `rmi.sched_timeouts` counts it, and the held task is *not*
     /// served afterwards (exactly-once).
     #[test]
@@ -1063,6 +1179,95 @@ mod tests {
         release_tx.send(()).unwrap(); // unblock a spurious serve, if any
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(entered.load(Ordering::SeqCst), 1, "the swept task must never be served");
+        match Arc::try_unwrap(sched) {
+            Ok(sched) => sched.shutdown(),
+            Err(_) => panic!("no other scheduler handles remain"),
+        }
+    }
+
+    /// The poster owns its task's deadline on both waiter paths. With
+    /// the untrusted side's only executor wedged, a plain-thread post
+    /// and a nested post from a trusted executor (the help-first path)
+    /// each fall back within `task_timeout` plus 100 ms, each counts
+    /// one timeout, and neither timed-out task is served afterwards.
+    #[test]
+    fn poster_owned_deadline_bounds_both_waiter_paths() {
+        let cost = model();
+        let timeout = Duration::from_millis(40);
+        let bound = timeout + Duration::from_millis(100);
+        let entered = Arc::new(AtomicUsize::new(0));
+        let (release_tx, release_rx) = bounded::<()>(16);
+        let served: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let nested: Arc<Mutex<Option<(bool, Duration)>>> = Arc::new(Mutex::new(None));
+        let slot: Arc<Mutex<Option<Arc<Scheduler>>>> = Arc::new(Mutex::new(None));
+        let serve: ServeFn = {
+            let (slot, served, nested) =
+                (Arc::clone(&slot), Arc::clone(&served), Arc::clone(&nested));
+            let wedge = gated_serve(Arc::clone(&entered), release_rx);
+            Arc::new(move |side, class, relay, hash, msg| match class {
+                "held" => wedge(side, class, relay, hash, msg),
+                "outer" => {
+                    let sched = slot.lock().clone().expect("scheduler installed before posts");
+                    let started = Instant::now();
+                    let out = sched.post(
+                        Side::Untrusted,
+                        "inner".into(),
+                        "r".into(),
+                        None,
+                        msg.clone(),
+                    )?;
+                    *nested.lock() =
+                        Some((matches!(out, PostOutcome::Fallback), started.elapsed()));
+                    Ok(msg.clone())
+                }
+                _ => {
+                    served.lock().push(class.to_string());
+                    Ok(msg.clone())
+                }
+            })
+        };
+        let config =
+            sched_config(SchedulerConfig { task_timeout: timeout, ..Default::default() }, 1);
+        let sched = Arc::new(Scheduler::spawn(&config, serve, Arc::clone(&cost)));
+        *slot.lock() = Some(Arc::clone(&sched));
+        let sched_held = Arc::clone(&sched);
+        let held = std::thread::spawn(move || {
+            sched_held.post(Side::Untrusted, "held".into(), "r".into(), None, msg()).unwrap()
+        });
+        while entered.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let timeouts = || cost.recorder().counter(telemetry::Counter::SchedTimeouts);
+
+        // Plain-thread poster.
+        let started = Instant::now();
+        let outcome = sched.post(Side::Untrusted, "late".into(), "r".into(), None, msg()).unwrap();
+        let waited = started.elapsed();
+        assert!(matches!(outcome, PostOutcome::Fallback), "a wedged side falls back");
+        assert!(waited >= timeout && waited < bound, "plain poster waited {waited:?}");
+        assert_eq!(timeouts(), 1);
+
+        // Help-first poster: the trusted executor serving `outer`
+        // suspends on its nested post to the wedged side.
+        match sched.post(Side::Trusted, "outer".into(), "r".into(), None, msg()).unwrap() {
+            PostOutcome::Served(out) => assert_eq!(out.unwrap(), msg()),
+            PostOutcome::Fallback => panic!("the trusted side is idle"),
+        }
+        let (fell_back, waited) = nested.lock().take().expect("the outer body ran");
+        assert!(fell_back, "the nested post to a wedged side falls back");
+        assert!(waited >= timeout && waited < bound, "help-first poster waited {waited:?}");
+        assert_eq!(cost.recorder().counter(telemetry::Counter::SchedSuspends), 1);
+        assert_eq!(timeouts(), 2);
+
+        release_tx.send(()).unwrap();
+        assert!(matches!(held.join().unwrap(), PostOutcome::Served(Ok(_))));
+        // The freed executor pops both stale entries and drops them.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(entered.load(Ordering::SeqCst), 1);
+        let served = served.lock().clone();
+        assert!(served.is_empty(), "timed-out tasks were served: {served:?}");
+        assert_eq!(sched.stats().untrusted.queued, 0);
+        *slot.lock() = None;
         match Arc::try_unwrap(sched) {
             Ok(sched) => sched.shutdown(),
             Err(_) => panic!("no other scheduler handles remain"),

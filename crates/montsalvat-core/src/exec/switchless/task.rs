@@ -7,13 +7,13 @@
 //!
 //! - **The claim protocol** ([`ServeTask::claim_for_run`] /
 //!   [`ServeTask::claim_for_timeout`]): a task starts `QUEUED`; an
-//!   executor CASes it to `RUNNING` before serving, and the timeout
-//!   worker CASes it to `TIMED_OUT` before sweeping it into the
-//!   classic-fallback path. Exactly one CAS can win, so every posted
-//!   call completes exactly once — as a served hit or a fallback —
-//!   no matter how post/steal/run/timeout interleave. The loser just
-//!   drops its reference; stale deque entries are skipped at claim
-//!   time instead of being hunted down.
+//!   executor CASes it to `RUNNING` before serving, and the poster
+//!   CASes it to `TIMED_OUT` once the task's deadline passes, before
+//!   taking the classic-fallback path. Exactly one CAS can win, so
+//!   every posted call completes exactly once — as a served hit or a
+//!   fallback — no matter how post/steal/run/timeout interleave. The
+//!   loser just drops its reference; stale deque entries are skipped
+//!   at claim time instead of being hunted down.
 //! - **The lifecycle stage** ([`TaskStage`]): queued → decode →
 //!   execute → encode → complete. The executor advances it around the
 //!   serve call and `exec::ctx::serve_relay_inner` advances it at the
@@ -38,8 +38,8 @@ use crate::exec::ctx::WireMsg;
 pub(crate) const QUEUED: u8 = 0;
 /// Claim state: an executor owns the task and will send the reply.
 pub(crate) const RUNNING: u8 = 1;
-/// Claim state: the timeout worker swept the task; the poster falls
-/// back to a classic crossing.
+/// Claim state: the poster timed the task out at its deadline and
+/// falls back to a classic crossing.
 pub(crate) const TIMED_OUT: u8 = 2;
 
 /// Lifecycle stage of a serve task's explicit state machine.
@@ -59,15 +59,6 @@ pub(crate) enum TaskStage {
     Complete = 4,
 }
 
-/// What the poster receives on the task's reply channel.
-pub(crate) enum TaskCompletion {
-    /// An executor served the task; this is the relay's reply.
-    Served(Result<WireMsg, VmError>),
-    /// The timeout worker swept the task before any executor claimed
-    /// it; the poster must perform a classic crossing.
-    TimedOut,
-}
-
 /// One posted crossing, queued for the work-stealing scheduler.
 pub(crate) struct ServeTask {
     /// Class whose relay is being called.
@@ -78,8 +69,9 @@ pub(crate) struct ServeTask {
     pub recv_hash: Option<ProxyHash>,
     /// The marshalled request.
     pub msg: WireMsg,
-    /// Where the claimed outcome is delivered (capacity 1).
-    pub reply: Sender<TaskCompletion>,
+    /// Where the serving executor delivers the relay's reply
+    /// (capacity 1).
+    pub reply: Sender<Result<WireMsg, VmError>>,
     /// `(model_ns, wall_ns)` at post time when tracing was on, for the
     /// cat-`queue` task-wait span; `None` when the post was untraced.
     pub posted: Option<(u64, u64)>,
@@ -97,7 +89,7 @@ impl ServeTask {
         relay: String,
         recv_hash: Option<ProxyHash>,
         msg: WireMsg,
-        reply: Sender<TaskCompletion>,
+        reply: Sender<Result<WireMsg, VmError>>,
         posted: Option<(u64, u64)>,
         posted_model_ns: u64,
     ) -> ServeTask {
@@ -115,12 +107,12 @@ impl ServeTask {
     }
 
     /// Attempts to claim the task for execution (QUEUED → RUNNING).
-    /// Returns false when the timeout worker already swept it.
+    /// Returns false when its poster already timed it out.
     pub(crate) fn claim_for_run(&self) -> bool {
         self.claim.compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire).is_ok()
     }
 
-    /// Attempts to claim the task for a timeout sweep (QUEUED →
+    /// Attempts to claim the task for a timeout (QUEUED →
     /// TIMED_OUT). Returns false when an executor already owns it.
     pub(crate) fn claim_for_timeout(&self) -> bool {
         self.claim.compare_exchange(QUEUED, TIMED_OUT, Ordering::AcqRel, Ordering::Acquire).is_ok()

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use montsalvat_core::annotation::Side;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
 use montsalvat_core::exec::switchless::tuner::TunerConfig;
-use montsalvat_core::exec::switchless::{SchedulerConfig, SwitchlessConfig};
+use montsalvat_core::exec::switchless::{SchedulerConfig, SwitchlessConfig, SPIN_BUDGET};
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::samples::bank_program;
 use montsalvat_core::transform::transform;
@@ -240,6 +240,73 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
     assert!((1..=limit).contains(&target), "batch target {target} outside [1, {limit}]");
     let peak = snap.gauge(telemetry::Gauge::SwitchlessWorkersPeak);
     assert!(peak <= config.max_workers as u64, "worker peak {peak} beyond max");
+}
+
+/// No lost wake-up across the spin/park boundary: one caller crosses
+/// 5 000 times with seeded gaps of zero, about the scheduler's spin
+/// budget and twice the budget, and twice past `idle_park`, so posts
+/// land on an executor that is serving, spinning, announcing its park,
+/// parked, or back from a full idle park. `idle_park` outlasts
+/// `task_timeout`, so a lost wake token shows up as a timeout instead
+/// of being rescued by the executor's next idle poll.
+#[test]
+fn no_lost_wakeup_across_the_spin_park_boundary() {
+    const CALLS: usize = 5_000;
+    const LONG_GAPS: usize = 2;
+    let idle_park = Duration::from_millis(300);
+    let budget_ns = SPIN_BUDGET.as_nanos() as u64;
+    let run = std::thread::spawn(move || {
+        for workers in [1, 2] {
+            let app = launch(SwitchlessConfig {
+                idle_park,
+                scheduler: Some(SchedulerConfig {
+                    task_timeout: Duration::from_millis(150),
+                    ..SchedulerConfig::default()
+                }),
+                ..SwitchlessConfig::fixed(workers)
+            });
+            let mut seed = 0x5eed_u64 + workers as u64;
+            app.enter_untrusted(|ctx| {
+                let alice = ctx.new_object("Person", &[Value::from("Alice"), Value::Int(100)])?;
+                let acc = ctx.call(&alice, "getAccount", &[])?;
+                for i in 0..CALLS {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    if i % (CALLS / LONG_GAPS) == CALLS / LONG_GAPS - 1 {
+                        std::thread::sleep(idle_park + Duration::from_millis(20));
+                    } else {
+                        let jitter = (seed >> 40) % budget_ns;
+                        let gap_ns = match (seed >> 33) % 3 {
+                            0 => 0,
+                            1 => budget_ns / 2 + jitter,
+                            _ => 2 * budget_ns + jitter,
+                        };
+                        let until = Instant::now() + Duration::from_nanos(gap_ns);
+                        while Instant::now() < until {
+                            std::hint::spin_loop();
+                        }
+                    }
+                    assert_eq!(ctx.call(&acc, "balance", &[])?, Value::Int(100), "call {i}");
+                }
+                Ok(())
+            })
+            .unwrap();
+            let world = app.world_stats(Side::Untrusted);
+            assert_eq!(world.rmi_calls, world.switchless_calls + world.switchless_fallbacks);
+            assert_eq!(world.switchless_fallbacks, 0, "fixed({workers}): every post is served");
+            let snap = app.telemetry_snapshot();
+            assert_eq!(snap.counter(telemetry::Counter::SchedTimeouts), 0, "fixed({workers})");
+            // Spinning executors still park: each long gap outlasts a
+            // full idle park, so the next post pays a wake.
+            let wakes = snap.counter(telemetry::Counter::SwitchlessWorkerWakes);
+            assert!(wakes > LONG_GAPS as u64, "fixed({workers}): only {wakes} wakes");
+        }
+    });
+    let watchdog = Instant::now() + Duration::from_secs(30);
+    while !run.is_finished() {
+        assert!(Instant::now() < watchdog, "a switchless crossing hung past the 30 s watchdog");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    run.join().unwrap();
 }
 
 proptest! {

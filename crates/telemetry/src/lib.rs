@@ -138,7 +138,7 @@ metric_enum! {
         /// RMI invocations served by the switchless scheduler (hits).
         SwitchlessCalls => ("rmi.switchless_calls", "calls"),
         /// Switchless posts that found the injector full (or were
-        /// swept by the task timeout) and fell back to a classic
+        /// timed out at the task deadline) and fell back to a classic
         /// EENTER/EEXIT crossing.
         SwitchlessFallbacks => ("rmi.switchless_fallbacks", "calls"),
         /// Switchless posts that found no idle worker (pressure signal
@@ -213,8 +213,8 @@ metric_enum! {
         /// crossing parked its state and the executor went back to
         /// serving other tasks (work-stealing engine only).
         SchedSuspends => ("rmi.sched_suspends", "events"),
-        /// Queued tasks the timeout worker swept into the
-        /// classic-fallback path (each also counts one
+        /// Queued tasks their posters timed out at the task deadline
+        /// into the classic-fallback path (each also counts one
         /// `rmi.switchless_fallbacks`).
         SchedTimeouts => ("rmi.sched_timeouts", "events"),
     }

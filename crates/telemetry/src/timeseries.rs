@@ -515,7 +515,7 @@ pub struct WindowView {
     /// In-flight scheduler tasks (posted, uncompleted) at window close
     /// — queued, executing or suspended on a nested crossing.
     pub sched_inflight: u64,
-    /// Scheduler tasks the timeout worker swept to classic fallback.
+    /// Scheduler tasks their posters timed out to classic fallback.
     pub sched_timeouts: u64,
     /// Tasks stolen between scheduler executors in the window.
     pub sched_steals: u64,

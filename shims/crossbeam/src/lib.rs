@@ -2,10 +2,11 @@
 //!
 //! The build environment has no crates-registry access, so this
 //! in-tree shim provides the multi-producer/multi-consumer channels
-//! the switchless-call worker pools rely on, implemented over
-//! `std::sync::mpsc`. Cloneable receivers are emulated with a shared
-//! mutex around the underlying single-consumer receiver — adequate
-//! for the small worker pools this workspace spawns.
+//! the switchless scheduler's wake tokens and reply slots rely on,
+//! implemented over `std::sync::mpsc`. Cloneable receivers are
+//! emulated with a shared mutex around the underlying single-consumer
+//! receiver — adequate for the handful of executors this workspace
+//! spawns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +38,15 @@ pub mod channel {
     /// Error returned by [`Receiver::recv`] when all senders are gone.
     #[derive(Debug, PartialEq, Eq)]
     pub struct RecvError;
+
+    /// Error returned by [`Receiver::try_recv`].
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum TryRecvError {
+        /// No message is available right now.
+        Empty,
+        /// All senders have been dropped and the queue is drained.
+        Disconnected,
+    }
 
     /// Error returned by [`Sender::try_send`]; carries the unsent
     /// message.
@@ -108,17 +118,22 @@ pub mod channel {
         /// Receives a message if one is immediately available.
         ///
         /// Never blocks: if another clone currently holds the shared
-        /// receiver (e.g. a pool sibling parked inside
-        /// [`recv_timeout`](Self::recv_timeout)), this reports empty
-        /// rather than waiting out that sibling's timeout — any
-        /// message that arrives meanwhile wakes the holder instead.
-        pub fn try_recv(&self) -> Result<T, RecvError> {
+        /// receiver (e.g. a sibling parked inside
+        /// [`recv_timeout`](Self::recv_timeout)), this reports
+        /// [`TryRecvError::Empty`] rather than waiting out that
+        /// sibling's timeout — any message that arrives meanwhile
+        /// wakes the holder instead.
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            let convert = |e| match e {
+                mpsc::TryRecvError::Empty => TryRecvError::Empty,
+                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
+            };
             match self.0.try_lock() {
-                Ok(rx) => rx.try_recv().map_err(|_| RecvError),
+                Ok(rx) => rx.try_recv().map_err(convert),
                 Err(std::sync::TryLockError::Poisoned(e)) => {
-                    e.into_inner().try_recv().map_err(|_| RecvError)
+                    e.into_inner().try_recv().map_err(convert)
                 }
-                Err(std::sync::TryLockError::WouldBlock) => Err(RecvError),
+                Err(std::sync::TryLockError::WouldBlock) => Err(TryRecvError::Empty),
             }
         }
 
@@ -142,6 +157,15 @@ pub mod channel {
     impl fmt::Display for RecvError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             f.write_str("receiving on an empty and disconnected channel")
+        }
+    }
+
+    impl fmt::Display for TryRecvError {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str(match self {
+                TryRecvError::Empty => "receiving on an empty channel",
+                TryRecvError::Disconnected => "receiving on an empty and disconnected channel",
+            })
         }
     }
 
@@ -195,6 +219,18 @@ mod tests {
     }
 
     #[test]
+    fn try_recv_tells_empty_from_disconnected() {
+        let (tx, rx) = channel::bounded::<u8>(1);
+        assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Empty));
+        tx.send(7).unwrap();
+        drop(tx);
+        // A message sent before the last sender dropped is still
+        // delivered; only then does the channel report disconnection.
+        assert_eq!(rx.try_recv(), Ok(7));
+        assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Disconnected));
+    }
+
+    #[test]
     fn recv_timeout_times_out_then_delivers() {
         let (tx, rx) = channel::bounded::<u8>(4);
         let timeout = std::time::Duration::from_millis(5);
@@ -210,7 +246,7 @@ mod tests {
         // One clone parks in recv_timeout (holding the shared receiver
         // for the whole wait); try_recv on another clone must return
         // immediately instead of queueing behind that lock — the
-        // switchless drain loop relies on this.
+        // scheduler's spinning waiters rely on this.
         let (_tx, rx) = channel::bounded::<u8>(4);
         let parked = rx.clone();
         let handle =
@@ -218,7 +254,7 @@ mod tests {
         // Give the sibling time to enter recv_timeout.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let start = std::time::Instant::now();
-        assert_eq!(rx.try_recv(), Err(channel::RecvError));
+        assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Empty));
         assert!(
             start.elapsed() < std::time::Duration::from_millis(100),
             "try_recv blocked for {:?} behind a parked sibling",
