@@ -5,8 +5,6 @@
 //! partitioned deployment keeps the engine in the enclave and moves the
 //! sharder out, so sharding time returns to native speed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use baselines::{Deployment, JvmModel};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp, SingleWorldApp};
 use montsalvat_core::image_builder::{
@@ -17,7 +15,7 @@ use montsalvat_core::VmError;
 use runtime_sim::value::Value;
 
 use crate::progs::{graphchi_entries, graphchi_program};
-use crate::report::{Measure, Scale};
+use crate::report::Scale;
 
 /// A GraphChi deployment under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +51,7 @@ impl GraphConfig {
 pub struct GraphRun {
     /// Shard count used.
     pub shards: u32,
-    /// Total simulation seconds (startup included).
+    /// Total model seconds (startup included).
     pub total: f64,
     /// Seconds spent in the sharding phase.
     pub sharding: f64,
@@ -64,14 +62,10 @@ pub struct GraphRun {
 /// PageRank iterations per run.
 pub const ITERATIONS: i64 = 4;
 
-fn work_dir(tag: &str) -> std::path::PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "graphchi_exp_{tag}_{}_{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
+/// The graph's directory, relative to the app's working directory
+/// (the root of its I/O backends), so no charge depends on where that
+/// directory lies.
+const GRAPH_DIR: &str = "graph";
 
 struct Phases {
     sharding: std::time::Duration,
@@ -80,33 +74,27 @@ struct Phases {
 
 fn drive(
     ctx: &mut montsalvat_core::Ctx<'_>,
-    dir: &str,
     vertices: i64,
     edges: i64,
     shards: i64,
-    measure: Measure,
 ) -> Result<Phases, VmError> {
-    let clock = |ctx: &montsalvat_core::Ctx<'_>| match measure {
-        Measure::Simulation => ctx.cost_now(),
-        Measure::ChargedOnly => ctx.cost_charged(),
-    };
     let sharder = ctx.new_object("FastSharder", &[])?;
-    let t0 = clock(ctx);
+    let t0 = ctx.cost_charged();
     ctx.call(
         &sharder,
         "shard",
         &[
-            Value::from(dir),
+            Value::from(GRAPH_DIR),
             Value::Int(vertices),
             Value::Int(edges),
             Value::Int(shards),
             Value::Int(4242),
         ],
     )?;
-    let t1 = clock(ctx);
+    let t1 = ctx.cost_charged();
     let engine = ctx.new_object("GraphChiEngine", &[])?;
-    let checksum = ctx.call(&engine, "run", &[Value::from(dir), Value::Int(ITERATIONS)])?;
-    let t2 = clock(ctx);
+    let checksum = ctx.call(&engine, "run", &[Value::from(GRAPH_DIR), Value::Int(ITERATIONS)])?;
+    let t2 = ctx.cost_charged();
     let sum = checksum.as_float().ok_or_else(|| VmError::Type("run must return a float".into()))?;
     if !sum.is_finite() || sum <= 0.0 {
         return Err(VmError::App(format!("pagerank checksum {sum} out of range")));
@@ -115,26 +103,11 @@ fn drive(
 }
 
 /// Runs one configuration on a `(vertices, edges)` graph with `shards`
-/// shards, in simulation time (see [`Measure::Simulation`]).
+/// shards. Phase times are model charges: the workload is seeded, so
+/// they are exact.
 pub fn run_config(config: GraphConfig, vertices: i64, edges: i64, shards: i64) -> GraphRun {
-    run_config_measured(config, vertices, edges, shards, Measure::Simulation)
-}
-
-/// Runs one configuration under the given measurement.
-/// [`Measure::ChargedOnly`] phase times are pure model charges — the
-/// deterministic variant the shape tests assert on.
-pub fn run_config_measured(
-    config: GraphConfig,
-    vertices: i64,
-    edges: i64,
-    shards: i64,
-    measure: Measure,
-) -> GraphRun {
-    let dir = work_dir(config.label());
-    let dir_str = dir.to_string_lossy().into_owned();
     let jvm = JvmModel::default();
-
-    let run = match config {
+    match config {
         GraphConfig::PartNi => {
             let tp = transform(&graphchi_program(true));
             let options = ImageOptions::with_entry_points(graphchi_entries());
@@ -144,7 +117,7 @@ pub fn run_config_measured(
             let app = PartitionedApp::launch(&trusted, &untrusted, app_config)
                 .expect("launch partitioned graphchi");
             let phases = app
-                .enter_untrusted(|ctx| drive(ctx, &dir_str, vertices, edges, shards, measure))
+                .enter_untrusted(|ctx| drive(ctx, vertices, edges, shards))
                 .expect("graphchi runs");
             GraphRun {
                 shards: shards as u32,
@@ -171,9 +144,8 @@ pub fn run_config_measured(
             let startup = app_config.exec_model.startup_ns as f64 * 1e-9;
             let app = SingleWorldApp::launch(&image, deployment.placement(), app_config)
                 .expect("launch single-world graphchi");
-            let phases = app
-                .enter(|ctx| drive(ctx, &dir_str, vertices, edges, shards, measure))
-                .expect("graphchi runs");
+            let phases =
+                app.enter(|ctx| drive(ctx, vertices, edges, shards)).expect("graphchi runs");
             GraphRun {
                 shards: shards as u32,
                 total: (phases.sharding + phases.engine).as_secs_f64() + startup,
@@ -181,9 +153,7 @@ pub fn run_config_measured(
                 engine: phases.engine.as_secs_f64(),
             }
         }
-    };
-    std::fs::remove_dir_all(&dir).ok();
-    run
+    }
 }
 
 /// Graph sizes of Figure 9: `(vertices, edges)`.

@@ -5,8 +5,9 @@
 //!
 //! - the `figN` binaries (`cargo run --release -p experiments --bin
 //!   fig7`), which print paper-style tables,
-//! - the Criterion benches in `crates/bench`, and
-//! - the shape-assertion integration tests in `tests/`.
+//! - the shape-assertion integration tests in `tests/`, and
+//! - the golden-output test, which checks every binary's `--quick`
+//!   output against `results/quick/`.
 //!
 //! | Module | Artefact |
 //! |---|---|

@@ -6,8 +6,6 @@
 //! schemes `RTWU` and `RUWT`; the baselines run the unpartitioned
 //! application under the four deployments.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use baselines::{Deployment, JvmModel};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp, SingleWorldApp};
 use montsalvat_core::image_builder::{
@@ -51,8 +49,8 @@ impl PaldbConfig {
 /// Outcome of one PalDB run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaldbRun {
-    /// End-to-end time (write all + read all), seconds of simulation
-    /// time, startup included.
+    /// End-to-end time (write all + read all), model seconds, startup
+    /// included.
     pub seconds: f64,
     /// Keys found by the read phase.
     pub hits: i64,
@@ -62,53 +60,30 @@ pub struct PaldbRun {
     pub ecalls: u64,
 }
 
-fn store_path(tag: &str) -> std::path::PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "paldb_{tag}_{}_{}.store",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ))
-}
+/// The store file, relative to the app's working directory (the root
+/// of its I/O backends), so no charge depends on where that directory
+/// lies.
+const STORE_PATH: &str = "paldb.store";
 
 /// The fixed seed every PalDB run drives its workload RNG with. With
-/// the key stream pinned, a [`Measure::ChargedOnly`] run is a pure
-/// function of the cost parameters — reproducible bit-for-bit, which
-/// is what the `--quick` shape checks rely on.
+/// the key stream pinned, a run is a pure function of the cost
+/// parameters — reproducible bit-for-bit.
 pub const WORKLOAD_SEED: i64 = 77;
 
-/// How a run's elapsed `seconds` are read off the cost model
-/// (re-exported from [`crate::report`]; [`Measure::ChargedOnly`] is
-/// deterministic for a fixed [`WORKLOAD_SEED`], used at
-/// [`Scale::Quick`] so CI shape checks need no retries).
-pub use crate::report::Measure;
-
-fn drive(ctx: &mut montsalvat_core::Ctx<'_>, path: &str, n: i64) -> Result<i64, VmError> {
+fn drive(ctx: &mut montsalvat_core::Ctx<'_>, n: i64) -> Result<i64, VmError> {
     let seed = WORKLOAD_SEED;
     let writer = ctx.new_object("DBWriter", &[])?;
-    ctx.call(&writer, "write", &[Value::from(path), Value::Int(n), Value::Int(seed)])?;
+    ctx.call(&writer, "write", &[Value::from(STORE_PATH), Value::Int(n), Value::Int(seed)])?;
     let reader = ctx.new_object("DBReader", &[])?;
-    let hits = ctx.call(&reader, "read", &[Value::from(path), Value::Int(n), Value::Int(seed)])?;
+    let hits =
+        ctx.call(&reader, "read", &[Value::from(STORE_PATH), Value::Int(n), Value::Int(seed)])?;
     hits.as_int().ok_or_else(|| VmError::Type("read must return an integer".into()))
 }
 
-/// Runs one configuration at `n` keys in simulation time (see
-/// [`Measure::Simulation`]).
+/// Runs one configuration at `n` keys; `seconds` are model charges.
 pub fn run_config(config: PaldbConfig, n: i64) -> PaldbRun {
-    run_config_measured(config, n, Measure::Simulation)
-}
-
-/// Runs one configuration at `n` keys under the given measurement.
-pub fn run_config_measured(config: PaldbConfig, n: i64, measure: Measure) -> PaldbRun {
-    let path = store_path(config.label());
-    let path_str = path.to_string_lossy().into_owned();
     let jvm = JvmModel::default();
-    let clock = |cost: &sgx_sim::cost::CostModel| match measure {
-        Measure::Simulation => cost.now(),
-        Measure::ChargedOnly => cost.charged(),
-    };
-
-    let run = match config {
+    match config {
         PaldbConfig::Rtwu | PaldbConfig::Ruwt => {
             let scheme =
                 if config == PaldbConfig::Rtwu { PaldbScheme::Rtwu } else { PaldbScheme::Ruwt };
@@ -119,10 +94,9 @@ pub fn run_config_measured(config: PaldbConfig, n: i64, measure: Measure) -> Pal
             let app_config = AppConfig { gc_helper_interval: None, ..AppConfig::default() };
             let app = PartitionedApp::launch(&trusted, &untrusted, app_config)
                 .expect("launch partitioned paldb");
-            let cost = std::sync::Arc::clone(&app.shared.cost);
-            let start = clock(&cost);
-            let hits = app.enter_untrusted(|ctx| drive(ctx, &path_str, n)).expect("paldb runs");
-            let seconds = (clock(&cost) - start).as_secs_f64();
+            let start = app.shared.cost.charged();
+            let hits = app.enter_untrusted(|ctx| drive(ctx, n)).expect("paldb runs");
+            let seconds = (app.shared.cost.charged() - start).as_secs_f64();
             let stats = app.sgx_stats();
             PaldbRun { seconds, hits, ocalls: stats.ocalls, ecalls: stats.ecalls }
         }
@@ -143,16 +117,13 @@ pub fn run_config_measured(config: PaldbConfig, n: i64, measure: Measure) -> Pal
             let startup = app_config.exec_model.startup_ns;
             let app = SingleWorldApp::launch(&image, deployment.placement(), app_config)
                 .expect("launch single-world paldb");
-            let cost = std::sync::Arc::clone(&app.shared.cost);
-            let start = clock(&cost);
-            let hits = app.enter(|ctx| drive(ctx, &path_str, n)).expect("paldb runs");
-            let seconds = (clock(&cost) - start).as_secs_f64() + startup as f64 * 1e-9;
+            let start = app.shared.cost.charged();
+            let hits = app.enter(|ctx| drive(ctx, n)).expect("paldb runs");
+            let seconds = (app.shared.cost.charged() - start).as_secs_f64() + startup as f64 * 1e-9;
             let stats = app.sgx_stats();
             PaldbRun { seconds, hits, ocalls: stats.ocalls, ecalls: stats.ecalls }
         }
-    };
-    std::fs::remove_file(&path).ok();
-    run
+    }
 }
 
 fn key_counts(scale: Scale) -> Vec<i64> {
@@ -182,16 +153,10 @@ pub fn fig10(scale: Scale) -> Vec<Series> {
 }
 
 fn run_set(configs: &[PaldbConfig], scale: Scale) -> Vec<Series> {
-    // Quick runs feed CI shape checks: measure model charges only, so
-    // the numbers are deterministic and the checks need no retries.
-    let measure = match scale {
-        Scale::Full => Measure::Simulation,
-        Scale::Quick => Measure::ChargedOnly,
-    };
     let mut series: Vec<Series> = configs.iter().map(|c| Series::new(c.label())).collect();
     for n in key_counts(scale) {
         for (idx, config) in configs.iter().enumerate() {
-            let run = run_config_measured(*config, n, measure);
+            let run = run_config(*config, n);
             assert!(run.hits >= n * 9 / 10, "{}: most keys must be found", config.label());
             series[idx].push(n as f64, run.seconds);
         }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use kvstore::{StoreReader, StoreWriter};
+use kvstore::{Backend as IoBackend, StoreError, StoreReader, StoreWriter};
 use montsalvat_core::annotation::Trust;
 use montsalvat_core::class::{
     ClassDef, Instr, MethodDef, MethodKind, MethodRef, NativeFn, Operand, Program, CTOR,
@@ -208,19 +208,54 @@ pub fn paldb_pair(rng: &mut Lcg) -> (String, String) {
     (key, value)
 }
 
+/// Host nanoseconds per record the PalDB writer body puts (the `put`, plus
+/// the finalize pass spread over the records), calibrated once in
+/// release mode (see `docs/COST_MODEL.md`). The PalDB bodies charge
+/// their record work by count; the I/O they relay from inside the
+/// enclave is charged per crossing by the shim.
+pub const PALDB_WRITE_NS_PER_RECORD: f64 = 1_200.0;
+/// Host nanoseconds per key the PalDB reader body probes (the `get`, plus
+/// opening the store spread over the probes), calibrated likewise.
+pub const PALDB_READ_NS_PER_RECORD: f64 = 620.0;
+
+/// Writes `n` seeded pairs to a store at `path`; returns the records
+/// written.
+fn write_records(backend: &IoBackend, path: &str, n: i64, seed: u64) -> Result<u64, StoreError> {
+    let mut writer = StoreWriter::create(backend, path)?;
+    let mut rng = Lcg::new(seed);
+    for _ in 0..n {
+        let (k, v) = paldb_pair(&mut rng);
+        writer.put(k.as_bytes(), v.as_bytes())?;
+    }
+    Ok(writer.finalize()?.records)
+}
+
+/// Probes the `n` seeded keys in the store at `path`; returns the hits.
+fn read_records(backend: &IoBackend, path: &str, n: i64, seed: u64) -> Result<i64, StoreError> {
+    let reader = StoreReader::open(backend, path)?;
+    let mut rng = Lcg::new(seed);
+    let mut hits = 0i64;
+    for _ in 0..n {
+        let (k, _) = paldb_pair(&mut rng);
+        if reader.get(k.as_bytes())?.is_some() {
+            hits += 1;
+        }
+    }
+    Ok(hits)
+}
+
 fn db_writer_body() -> NativeFn {
     Arc::new(|ctx, _this, args| {
         let path = arg_str(args, 0)?.to_owned();
         let n = arg_int(args, 1)?;
         let seed = arg_int(args, 2)? as u64;
         let backend = ctx.io_backend();
-        let mut writer = StoreWriter::create(&backend, &path).map_err(app_err)?;
-        let mut rng = Lcg::new(seed);
-        for _ in 0..n {
-            let (k, v) = paldb_pair(&mut rng);
-            writer.put(k.as_bytes(), v.as_bytes()).map_err(app_err)?;
-        }
-        writer.finalize().map_err(app_err)?;
+        ctx.compute_with(0, PALDB_WRITE_NS_PER_RECORD, || {
+            let written = write_records(&backend, &path, n, seed);
+            let records = *written.as_ref().unwrap_or(&0);
+            (written, records)
+        })
+        .map_err(app_err)?;
         Ok(Value::Int(n))
     })
 }
@@ -231,16 +266,10 @@ fn db_reader_body() -> NativeFn {
         let n = arg_int(args, 1)?;
         let seed = arg_int(args, 2)? as u64;
         let backend = ctx.io_backend();
-        let reader = StoreReader::open(&backend, &path).map_err(app_err)?;
-        let mut rng = Lcg::new(seed);
-        let mut hits = 0i64;
-        for _ in 0..n {
-            let (k, _) = paldb_pair(&mut rng);
-            if reader.get(k.as_bytes()).map_err(app_err)?.is_some() {
-                hits += 1;
-            }
-        }
-        Ok(Value::Int(hits))
+        let hits = ctx.compute_with(0, PALDB_READ_NS_PER_RECORD, || {
+            (read_records(&backend, &path, n, seed), n.max(0) as u64)
+        });
+        Ok(Value::Int(hits.map_err(app_err)?))
     })
 }
 
@@ -310,6 +339,10 @@ pub const JAVA_SHARDER_NS_PER_EDGE: u64 = 7_500;
 /// Java GraphChiEngine per-edge-update execution cost (see
 /// `engine_body`).
 pub const JAVA_ENGINE_NS_PER_EDGE: u64 = 1_900;
+/// Host nanoseconds per edge update of the Rust `graphchi::engine`
+/// kernel itself, shard reads included, calibrated once in release mode
+/// (see `docs/COST_MODEL.md`).
+pub const ENGINE_KERNEL_NS_PER_EDGE: f64 = 11.0;
 
 fn engine_body() -> NativeFn {
     Arc::new(|ctx, _this, args| {
@@ -318,13 +351,11 @@ fn engine_body() -> NativeFn {
         let backend = ctx.io_backend();
         let graph = graphchi::sharder::load_meta(&backend, &dir).map_err(app_err)?;
         let working_set = graph.num_vertices as usize * 16 + graph.edge_count() as usize * 8;
-        let result = ctx.compute_with(working_set, || {
-            graphchi::engine::run(
-                &backend,
-                &graph,
-                &graphchi::programs::PageRank::default(),
-                iterations,
-            )
+        let result = ctx.compute_with(working_set, ENGINE_KERNEL_NS_PER_EDGE, || {
+            let pagerank = graphchi::programs::PageRank::default();
+            let result = graphchi::engine::run(&backend, &graph, &pagerank, iterations);
+            let edges = result.as_ref().map_or(0, |r| r.stats.edges_processed);
+            (result, edges)
         });
         let result = result.map_err(app_err)?;
         // Managed-engine execution model (see `sharder_body`).
@@ -383,7 +414,9 @@ fn spec_body(workload: specjvm::Workload) -> NativeFn {
         // Short-lived allocation churn driving the collector.
         ctx.alloc_garbage(workload.managed_alloc_bytes_per_run() / divisor, 64 * 1024);
         let checksum =
-            ctx.compute_with(workload.working_set_bytes(), || workload.run_scaled(divisor));
+            ctx.compute_with(workload.working_set_bytes(), workload.ns_per_unit(), || {
+                workload.run_scaled(divisor)
+            });
         for v in &held {
             ctx.forget(v);
         }

@@ -97,7 +97,7 @@ pub fn shard(
 ) -> Result<ShardedGraph, SgxError> {
     assert!(num_shards > 0, "need at least one shard");
     let dir = dir.as_ref().to_path_buf();
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(backend.resolve(&dir))?;
 
     // Bucket edges by destination interval.
     let mut buckets: Vec<Vec<Edge>> = vec![Vec::new(); num_shards];

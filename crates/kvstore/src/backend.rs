@@ -45,7 +45,7 @@ mod tests {
         let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
         let enclave = Enclave::create(&EnclaveConfig::default(), b"kv", cost).unwrap();
         let path = temp("enclave");
-        let backend = Backend::Enclave(Arc::clone(&enclave));
+        let backend = Backend::Enclave(Arc::clone(&enclave), std::env::temp_dir());
         let mut f = backend.create(&path).unwrap();
         f.write_all(b"data").unwrap();
         assert_eq!(enclave.stats().ocalls, 2, "create + write");

@@ -147,7 +147,7 @@ mod tests {
 
         let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
         let enclave = Enclave::create(&EnclaveConfig::default(), b"kv", cost).unwrap();
-        let backend = Backend::Enclave(Arc::clone(&enclave));
+        let backend = Backend::Enclave(Arc::clone(&enclave), std::env::temp_dir());
         let r = StoreReader::open(&backend, &path).unwrap();
         let ocalls_after_open = enclave.stats().ocalls;
         for _ in 0..100 {

@@ -37,8 +37,8 @@ use crate::transform::is_relay_name;
 pub struct AppConfig {
     /// Cost-model parameters (defaults to the paper's platform).
     pub cost_params: CostParams,
-    /// Clock realisation (virtual for experiments, spin for wall-clock
-    /// benchmarking).
+    /// Clock realisation (charges accumulate on the virtual model
+    /// clock; [`ClockMode::Virtual`] is the only mode).
     pub clock_mode: ClockMode,
     /// Enclave configuration (paper: 4 GB heap, 8 MB stack; §6.1).
     pub enclave_config: EnclaveConfig,
@@ -205,6 +205,8 @@ pub struct AppShared {
     untrusted: Arc<World>,
     pub(crate) switchless: parking_lot::Mutex<Option<Arc<crate::exec::switchless::Scheduler>>>,
     pub(crate) serde: SerdeState,
+    /// The working directory: the root of both worlds' I/O backends.
+    pub(crate) workdir: PathBuf,
 }
 
 impl AppShared {
@@ -349,7 +351,6 @@ pub struct PartitionedApp {
     pub enclave: Arc<Enclave>,
     main: MethodRef,
     helpers: Vec<GcHelper>,
-    workdir: PathBuf,
     owns_workdir: bool,
 }
 
@@ -441,6 +442,7 @@ impl PartitionedApp {
             untrusted,
             switchless: parking_lot::Mutex::new(None),
             serde: SerdeState::new(&config),
+            workdir,
         });
         if let Some(sw_config) = &config.switchless {
             let serve_shared = Arc::clone(&shared);
@@ -480,7 +482,7 @@ impl PartitionedApp {
         }
 
         let main = find_main(untrusted_image)?;
-        Ok(PartitionedApp { enclave, shared, main, helpers, workdir, owns_workdir })
+        Ok(PartitionedApp { enclave, shared, main, helpers, owns_workdir })
     }
 
     /// Runs the application's `main` entry point in the untrusted world.
@@ -598,7 +600,7 @@ impl PartitionedApp {
         }
         self.enclave.destroy();
         if self.owns_workdir {
-            let _ = std::fs::remove_dir_all(&self.workdir);
+            let _ = std::fs::remove_dir_all(&self.shared.workdir);
         }
     }
 }
@@ -629,7 +631,6 @@ pub struct SingleWorldApp {
     pub enclave: Arc<Enclave>,
     placement: Placement,
     main: MethodRef,
-    workdir: PathBuf,
     owns_workdir: bool,
 }
 
@@ -698,9 +699,10 @@ impl SingleWorldApp {
             untrusted: world,
             switchless: parking_lot::Mutex::new(None),
             serde: SerdeState::new(&config),
+            workdir,
         });
         let main = find_main(image)?;
-        Ok(SingleWorldApp { shared, enclave, placement, main, workdir, owns_workdir })
+        Ok(SingleWorldApp { shared, enclave, placement, main, owns_workdir })
     }
 
     /// The placement this application runs under.
@@ -765,7 +767,7 @@ impl SingleWorldApp {
     fn shutdown_inner(&mut self) {
         self.enclave.destroy();
         if self.owns_workdir {
-            let _ = std::fs::remove_dir_all(&self.workdir);
+            let _ = std::fs::remove_dir_all(&self.shared.workdir);
         }
     }
 }

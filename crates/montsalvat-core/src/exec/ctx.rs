@@ -30,7 +30,6 @@
 //! root per contained reference, which the caller adopts into its frame.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rmi::codec::{self, CodecError, EncodeStats, RefEncoding, TraceContext};
 use rmi::hash::ProxyHash;
@@ -38,6 +37,7 @@ use rmi::pool::PooledBuf;
 use rmi::shape::NameRef;
 use runtime_sim::heap::{GcOutcome, Heap};
 use runtime_sim::value::{ClassId, ObjId, Value};
+use sgx_sim::shim::IoBackend;
 use telemetry::trace::{self, SpanContext};
 
 use crate::annotation::Side;
@@ -46,7 +46,7 @@ use crate::error::VmError;
 use crate::exec::app::AppShared;
 use crate::exec::interp;
 use crate::exec::switchless::{self, PostOutcome};
-use crate::exec::world::{ClassInfo, IoFile, World};
+use crate::exec::world::{ClassInfo, World};
 use crate::transform::{edge_routine_name, relay_name};
 
 /// Execution context handed to native method bodies and the interpreter.
@@ -85,15 +85,8 @@ impl<'a> Ctx<'a> {
         self.world.in_enclave
     }
 
-    /// Reading of the application's simulation clock (real elapsed time
-    /// plus modelled charges) — the clock experiments measure with.
-    pub fn cost_now(&self) -> std::time::Duration {
-        self.app.cost.now()
-    }
-
-    /// Total modelled charges so far (pure model time, excluding the
-    /// simulator's own execution overhead) — what the micro-benchmarks
-    /// measure deltas of.
+    /// Total modelled charges so far — the model clock every figure
+    /// measures deltas of.
     pub fn cost_charged(&self) -> std::time::Duration {
         self.app.cost.charged()
     }
@@ -253,7 +246,7 @@ impl<'a> Ctx<'a> {
         let world = Arc::clone(&self.world);
         let mut io = world.io.lock();
         if io.file.is_none() {
-            io.file = Some(open_scratch(self.app, &world)?);
+            io.file = Some(self.io_backend().create(&world.scratch_path)?);
         }
         if io.buf.len() < bytes {
             io.buf.resize(bytes, 0xA5);
@@ -288,31 +281,40 @@ impl<'a> Ctx<'a> {
         Ok(n)
     }
 
-    /// Runs a CPU kernel with the given working set, applying the
-    /// enclave's MEE costs (first-touch encryption of the working set,
-    /// plus the compute surcharge when the set spills the LLC) and the
-    /// world's execution-model factor.
+    /// Runs the dense float kernel over `working_set_bytes` for `passes`
+    /// passes, charged by [`Ctx::compute_with`] at
+    /// [`COMPUTE_NS_PER_BYTE_PASS`].
     pub fn compute(&mut self, working_set_bytes: usize, passes: u32) -> f64 {
-        self.compute_with(working_set_bytes, || compute_kernel(working_set_bytes, passes))
+        self.compute_with(working_set_bytes, COMPUTE_NS_PER_BYTE_PASS, || {
+            compute_kernel(working_set_bytes, passes)
+        })
     }
 
-    /// Runs an arbitrary compute closure under the same enclave/compute
-    /// cost model as [`Ctx::compute`]. Used by native workloads that
-    /// bring their own kernels (FFT, PageRank, ...).
-    pub fn compute_with<R>(&mut self, working_set_bytes: usize, f: impl FnOnce() -> R) -> R {
-        let started = Instant::now();
-        let out = if self.world.in_enclave {
+    /// Runs a compute kernel `f`, which returns its result and the work
+    /// units it counted, and charges `units × ns_per_unit`. The charge
+    /// is scaled by the world's execution-model factor and, inside the
+    /// enclave, by the MEE compute factor when the working set spills
+    /// the LLC; an in-enclave kernel also pays MEE/EPC for first touch
+    /// of its working set. How long `f` runs on the host is never
+    /// charged. Native workloads bring their own kernels this way
+    /// (SPECjvm, PageRank, the PalDB store).
+    pub fn compute_with<R>(
+        &mut self,
+        working_set_bytes: usize,
+        ns_per_unit: f64,
+        f: impl FnOnce() -> (R, u64),
+    ) -> R {
+        let params = self.app.cost.params();
+        let mut factor = self.world.exec_model.compute_factor;
+        if self.world.in_enclave {
             // First touch of the working set moves it through the MEE.
             self.app.enclave.charge_heap_traffic(working_set_bytes as u64);
-            self.app.enclave.run_compute(working_set_bytes as u64, f)
-        } else {
-            f()
-        };
-        let factor = self.world.exec_model.compute_factor;
-        if factor > 1.0 {
-            let extra = (started.elapsed().as_nanos() as f64 * (factor - 1.0)) as u64;
-            self.app.cost.charge_ns(extra);
+            if working_set_bytes as u64 > params.llc_bytes {
+                factor *= params.mee_compute_factor;
+            }
         }
+        let (out, units) = f();
+        self.app.cost.charge_ns((units as f64 * ns_per_unit * factor) as u64);
         out
     }
 
@@ -335,11 +337,15 @@ impl<'a> Ctx<'a> {
     /// bodies (the KV store, the graph sharder/engine) obtain their
     /// file handles through this, so annotating their class moves their
     /// I/O to the right side automatically.
-    pub fn io_backend(&self) -> sgx_sim::shim::IoBackend {
+    ///
+    /// Both are rooted at the application's working directory, so
+    /// bodies name their files relative to it.
+    pub fn io_backend(&self) -> IoBackend {
+        let root = self.app.workdir.clone();
         if self.world.in_enclave {
-            sgx_sim::shim::IoBackend::Enclave(Arc::clone(&self.app.enclave))
+            IoBackend::Enclave(Arc::clone(&self.app.enclave), root)
         } else {
-            sgx_sim::shim::IoBackend::Host
+            IoBackend::HostAt(root)
         }
     }
 
@@ -426,30 +432,26 @@ impl Drop for Ctx<'_> {
     }
 }
 
-/// The dense float kernel behind [`Ctx::compute`].
-fn compute_kernel(working_set_bytes: usize, passes: u32) -> f64 {
+/// Host nanoseconds per byte-pass of the [`Ctx::compute`] kernel, calibrated
+/// once in release mode (see `docs/COST_MODEL.md`).
+pub const COMPUTE_NS_PER_BYTE_PASS: f64 = 0.54;
+
+/// The dense float kernel behind [`Ctx::compute`]. Returns its checksum
+/// and the byte-passes it made.
+fn compute_kernel(working_set_bytes: usize, passes: u32) -> (f64, u64) {
     let n = (working_set_bytes / 8).max(1);
     let mut data: Vec<f64> = (0..n).map(|i| (i % 977) as f64 * 0.5).collect();
     let mut acc = 0.0f64;
+    let mut byte_passes = 0u64;
     for p in 0..passes {
         let c = 0.3 + p as f64 * 1e-9;
         for x in data.iter_mut() {
             *x = x.mul_add(1.000_000_1, c);
         }
+        byte_passes += n as u64 * 8;
         acc += data[p as usize % n];
     }
-    std::hint::black_box(acc)
-}
-
-fn open_scratch(app: &AppShared, world: &World) -> Result<IoFile, VmError> {
-    if world.in_enclave {
-        Ok(IoFile::Shim(sgx_sim::shim::ShimFile::create(
-            Arc::clone(&app.enclave),
-            &world.scratch_path,
-        )?))
-    } else {
-        Ok(IoFile::Host(sgx_sim::shim::HostFile::create(&world.scratch_path)?))
-    }
+    (std::hint::black_box(acc), byte_passes)
 }
 
 // ---------------------------------------------------------------------

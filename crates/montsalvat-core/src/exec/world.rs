@@ -9,7 +9,6 @@
 //! overheads arise in the model.
 
 use std::collections::HashMap;
-use std::io::SeekFrom;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,7 +21,7 @@ use runtime_sim::heap::{HeapConfig, HeapObserver};
 use runtime_sim::isolate::Isolate;
 use runtime_sim::value::{ClassId, ObjId};
 use sgx_sim::enclave::Enclave;
-use sgx_sim::shim::{HostFile, ShimFile};
+use sgx_sim::shim::BackendFile;
 
 use crate::annotation::Side;
 use crate::class::ClassDef;
@@ -222,40 +221,9 @@ impl WorldStats {
 /// `Ctx::io_*` operations).
 #[derive(Debug, Default)]
 pub(crate) struct WorldIo {
-    pub(crate) file: Option<IoFile>,
+    pub(crate) file: Option<BackendFile>,
     pub(crate) buf: Vec<u8>,
     pub(crate) bytes_written: u64,
-}
-
-#[derive(Debug)]
-pub(crate) enum IoFile {
-    /// In-enclave handle: every operation is an ocall.
-    Shim(ShimFile),
-    /// Untrusted handle: direct host I/O.
-    Host(HostFile),
-}
-
-impl IoFile {
-    pub(crate) fn write_all(&mut self, buf: &[u8]) -> Result<(), VmError> {
-        match self {
-            IoFile::Shim(f) => f.write_all(buf).map_err(VmError::from),
-            IoFile::Host(f) => f.write_all(buf).map_err(VmError::from),
-        }
-    }
-
-    pub(crate) fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), VmError> {
-        match self {
-            IoFile::Shim(f) => f.read_exact(buf).map_err(VmError::from),
-            IoFile::Host(f) => f.read_exact(buf).map_err(VmError::from),
-        }
-    }
-
-    pub(crate) fn seek(&mut self, pos: SeekFrom) -> Result<u64, VmError> {
-        match self {
-            IoFile::Shim(f) => f.seek(pos).map_err(VmError::from),
-            IoFile::Host(f) => f.seek(pos).map_err(VmError::from),
-        }
-    }
 }
 
 /// Heap observer that charges the enclave for trusted-heap traffic.

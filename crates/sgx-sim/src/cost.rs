@@ -9,13 +9,11 @@
 //! cost in one place ([`CostParams`]) and lets the rest of the simulator
 //! *charge* nanoseconds against a clock ([`CostModel`]).
 //!
-//! Two clock modes are supported:
-//!
-//! - [`ClockMode::Virtual`] — charges accumulate in an atomic counter;
-//!   [`CostModel::now`] reports *real elapsed time + charged time*. This is
-//!   fast and is what the experiment binaries use.
-//! - [`ClockMode::Spin`] — charges busy-wait for the charged duration, so
-//!   plain wall-clock measurement (e.g. Criterion) observes the model.
+//! [`CostModel::charged`] is the model clock: the sum of every charge
+//! so far. No host-time reading feeds it — even compute kernels charge
+//! their counted work, not their measured run time — so for a fixed
+//! workload seed it is a pure function of the parameters, and every
+//! figure and table reads it.
 //!
 //! # Examples
 //!
@@ -23,9 +21,9 @@
 //! use sgx_sim::cost::{ClockMode, CostModel, CostParams};
 //!
 //! let model = CostModel::new(CostParams::default(), ClockMode::Virtual);
-//! let before = model.now();
+//! let before = model.charged();
 //! model.charge_ns(1_000_000); // simulate 1 ms of modelled work
-//! assert!(model.now() - before >= std::time::Duration::from_millis(1));
+//! assert_eq!(model.charged() - before, std::time::Duration::from_millis(1));
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,35 +241,23 @@ impl Default for CostParams {
     }
 }
 
-/// How charged nanoseconds are realised.
+/// How charged nanoseconds are realised. Charges only ever accumulate
+/// in a virtual counter; the type stays so configurations keep naming
+/// the one mode explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ClockMode {
-    /// Accumulate charges in a virtual counter (fast; default).
+    /// Accumulate charges in a virtual counter.
     #[default]
     Virtual,
-    /// Busy-wait for every charge so wall-clock time observes the model.
-    Spin,
 }
 
-impl ClockMode {
-    /// Reads the mode from the `MONTSALVAT_CLOCK` environment variable
-    /// (`"spin"` selects [`ClockMode::Spin`]), defaulting to `Virtual`.
-    pub fn from_env() -> Self {
-        match std::env::var("MONTSALVAT_CLOCK").as_deref() {
-            Ok("spin") => ClockMode::Spin,
-            _ => ClockMode::Virtual,
-        }
-    }
-}
-
-/// A clock that merges real elapsed time with modelled charges.
+/// The model clock: an atomic sum of modelled charges.
 ///
 /// Cloneable handles are not provided; share it behind an
 /// [`std::sync::Arc`]. All operations are lock-free.
 #[derive(Debug)]
 pub struct CostModel {
     params: CostParams,
-    mode: ClockMode,
     origin: Instant,
     charged_ns: AtomicU64,
     recorder: Arc<Recorder>,
@@ -299,14 +285,13 @@ impl CostModel {
     /// test can capture one app's trace in isolation.
     pub fn with_recorder_and_tracer(
         params: CostParams,
-        mode: ClockMode,
+        _mode: ClockMode,
         recorder: Arc<Recorder>,
         tracer: Arc<Tracer>,
     ) -> Self {
         tracer.attach_recorder(&recorder);
         CostModel {
             params,
-            mode,
             origin: Instant::now(),
             charged_ns: AtomicU64::new(0),
             recorder,
@@ -329,69 +314,24 @@ impl CostModel {
         &self.tracer
     }
 
-    /// [`CostModel::now`] as integer nanoseconds — the model-time
-    /// timestamp trace events carry.
+    /// Trace-event timestamp in nanoseconds: host time elapsed since
+    /// construction plus [`CostModel::charged`]. Only trace spans carry
+    /// it (a span's charged time is its `model_ns` minus its `wall_ns`);
+    /// no charge and no figure reads it.
     pub fn now_ns(&self) -> u64 {
-        self.now().as_nanos() as u64
-    }
-
-    /// The clock mode selected at construction.
-    pub fn mode(&self) -> ClockMode {
-        self.mode
+        (self.origin.elapsed() + self.charged()).as_nanos() as u64
     }
 
     /// Charges `ns` nanoseconds of modelled time.
-    ///
-    /// In [`ClockMode::Spin`] this busy-waits; in [`ClockMode::Virtual`]
-    /// it only bumps the virtual counter.
     pub fn charge_ns(&self, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        match self.mode {
-            ClockMode::Virtual => {
-                self.charged_ns.fetch_add(ns, Ordering::Relaxed);
-            }
-            ClockMode::Spin => spin_for(Duration::from_nanos(ns)),
+        if ns != 0 {
+            self.charged_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 
-    /// Total modelled time charged so far (zero in spin mode, where the
-    /// charges were realised as real time instead).
+    /// Total modelled time charged so far — the model clock.
     pub fn charged(&self) -> Duration {
         Duration::from_nanos(self.charged_ns.load(Ordering::Relaxed))
-    }
-
-    /// Simulation-time reading: real time elapsed since construction plus
-    /// all virtual charges.
-    pub fn now(&self) -> Duration {
-        self.origin.elapsed() + self.charged()
-    }
-
-    /// Times `f` in simulation time (real elapsed + charges it incurred).
-    pub fn measure<R>(&self, f: impl FnOnce() -> R) -> (R, Duration) {
-        let start = self.now();
-        let out = f();
-        (out, self.now() - start)
-    }
-}
-
-/// Busy-waits for approximately `d`. Used by [`ClockMode::Spin`].
-///
-/// Short waits spin pure for accuracy; past a couple of microseconds
-/// each iteration also yields the core, so on oversubscribed hosts
-/// (notably single-core CI runners) a spinning charge cannot starve a
-/// thread that was just woken to serve it. Yielding never returns
-/// early — the wait still lasts at least `d`.
-pub fn spin_for(d: Duration) {
-    const PURE_SPIN: Duration = Duration::from_micros(2);
-    let start = Instant::now();
-    while start.elapsed() < d {
-        if start.elapsed() >= PURE_SPIN {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
     }
 }
 
@@ -415,28 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn virtual_charges_advance_now() {
+    fn charges_advance_the_model_clock_and_the_trace_stamp() {
         let m = CostModel::new(CostParams::default(), ClockMode::Virtual);
-        let t0 = m.now();
+        let stamp = m.now_ns();
         m.charge_ns(5_000_000);
-        assert!(m.now() - t0 >= Duration::from_millis(5));
         assert_eq!(m.charged(), Duration::from_millis(5));
-    }
-
-    #[test]
-    fn spin_mode_takes_real_time() {
-        let m = CostModel::new(CostParams::default(), ClockMode::Spin);
-        let wall = Instant::now();
-        m.charge_ns(2_000_000);
-        assert!(wall.elapsed() >= Duration::from_millis(2));
-        assert_eq!(m.charged(), Duration::ZERO);
-    }
-
-    #[test]
-    fn measure_includes_charges() {
-        let m = CostModel::new(CostParams::default(), ClockMode::Virtual);
-        let ((), d) = m.measure(|| m.charge_ns(1_000_000));
-        assert!(d >= Duration::from_millis(1));
+        assert!(m.now_ns() - stamp >= 5_000_000);
     }
 
     #[test]

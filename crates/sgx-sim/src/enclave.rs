@@ -435,23 +435,6 @@ impl Enclave {
         self.trace_aex(epc_charge.faults);
     }
 
-    /// Runs a compute kernel inside the enclave, surcharging MEE costs
-    /// when `working_set_bytes` spills out of the last-level cache.
-    ///
-    /// The kernel's real execution time is measured and the surcharge is
-    /// `(mee_compute_factor - 1) ×` that time.
-    pub fn run_compute<R>(&self, working_set_bytes: u64, f: impl FnOnce() -> R) -> R {
-        let params = self.cost.params();
-        let start = std::time::Instant::now();
-        let out = f();
-        let real_ns = start.elapsed().as_nanos() as u64;
-        if working_set_bytes > params.llc_bytes {
-            let surcharge = (real_ns as f64 * (params.mee_compute_factor - 1.0)) as u64;
-            self.cost.charge_ns(surcharge);
-        }
-        out
-    }
-
     /// Produces an attestation quote binding `report_data` to this
     /// enclave's measurement (remote-attestation stub, §4).
     pub fn quote(&self, report_data: [u8; 32]) -> Quote {
@@ -640,16 +623,5 @@ mod tests {
         let mut bad = q.clone();
         bad.report_data[0] ^= 1;
         assert!(!Enclave::verify_quote(&bad));
-    }
-
-    #[test]
-    fn compute_surcharge_applies_only_to_large_working_sets() {
-        let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
-        let e = Enclave::create(&EnclaveConfig::default(), b"i", cost).unwrap();
-        let before = e.cost().charged();
-        e.run_compute(1024, || std::thread::sleep(std::time::Duration::from_millis(2)));
-        assert_eq!(e.cost().charged(), before, "small working set is free");
-        e.run_compute(64 * 1024 * 1024, || std::thread::sleep(std::time::Duration::from_millis(2)));
-        assert!(e.cost().charged() > before, "large working set pays MEE surcharge");
     }
 }

@@ -10,9 +10,9 @@
 //! - ecall/ocall transitions (~13,100 cycles each, §2.1) plus
 //!   per-byte marshalling — [`enclave::Enclave::ecall`] /
 //!   [`enclave::Enclave::ocall`];
-//! - memory-encryption-engine (MEE) work on in-enclave heap traffic and
-//!   cache-spilling compute — [`enclave::Enclave::charge_heap_traffic`] /
-//!   [`enclave::Enclave::run_compute`];
+//! - memory-encryption-engine (MEE) work on in-enclave heap traffic —
+//!   [`enclave::Enclave::charge_heap_traffic`] — and on cache-spilling
+//!   compute, via [`cost::CostParams::mee_compute_factor`];
 //! - EPC paging once the resident set exceeds the usable EPC
 //!   (93.5 MB on the paper's platform) — [`epc::EpcState`];
 //! - the in-enclave libc **shim** that relays unsupported calls to an

@@ -32,7 +32,7 @@ use crate::error::SgxError;
 /// # fn main() -> Result<(), sgx_sim::SgxError> {
 /// # let cost = Arc::new(CostModel::new(CostParams::default(), ClockMode::Virtual));
 /// # let enclave = Enclave::create(&EnclaveConfig::default(), b"img", cost)?;
-/// let mut f = ShimFile::create(Arc::clone(&enclave), "/tmp/secret.bin")?;
+/// let mut f = ShimFile::create(Arc::clone(&enclave), "/tmp", "secret.bin")?;
 /// f.write_all(b"sealed data")?; // one ocall
 /// assert!(enclave.stats().ocalls >= 2); // create + write
 /// # Ok(())
@@ -45,30 +45,48 @@ pub struct ShimFile {
     path: PathBuf,
 }
 
+/// `path` resolved under `root` (an absolute `path` stays as it is),
+/// and the bytes a relay of it carries out: its length relative to
+/// `root`. The untrusted shim helper runs in `root`, so a relative name
+/// is all that crosses, and no charge depends on where `root` lies.
+fn rooted(root: &Path, path: &Path) -> (PathBuf, usize) {
+    let full = root.join(path);
+    let bytes = full.strip_prefix(root).unwrap_or(&full).as_os_str().len();
+    (full, bytes)
+}
+
 impl ShimFile {
-    /// Creates (truncating) a file through the shim. Costs one ocall.
+    /// Creates (truncating) `path` under `root` through the shim. Costs
+    /// one ocall carrying the path relative to `root`.
     ///
     /// # Errors
     ///
     /// Relays of host I/O failures surface as [`SgxError::HostIo`];
     /// a lost enclave surfaces as [`SgxError::EnclaveLost`].
-    pub fn create(enclave: Arc<Enclave>, path: impl AsRef<Path>) -> Result<Self, SgxError> {
-        let path = path.as_ref().to_path_buf();
-        let path_bytes = path.as_os_str().len();
+    pub fn create(
+        enclave: Arc<Enclave>,
+        root: impl AsRef<Path>,
+        path: impl AsRef<Path>,
+    ) -> Result<Self, SgxError> {
+        let (path, path_bytes) = rooted(root.as_ref(), path.as_ref());
         let inner = enclave.ocall("shim_open", path_bytes, || {
             OpenOptions::new().create(true).write(true).truncate(true).read(true).open(&path)
         })??;
         Ok(ShimFile { enclave, inner, path })
     }
 
-    /// Opens an existing file read-only through the shim. Costs one ocall.
+    /// Opens an existing `path` under `root` read-only through the shim.
+    /// Costs one ocall carrying the path relative to `root`.
     ///
     /// # Errors
     ///
     /// See [`ShimFile::create`].
-    pub fn open(enclave: Arc<Enclave>, path: impl AsRef<Path>) -> Result<Self, SgxError> {
-        let path = path.as_ref().to_path_buf();
-        let path_bytes = path.as_os_str().len();
+    pub fn open(
+        enclave: Arc<Enclave>,
+        root: impl AsRef<Path>,
+        path: impl AsRef<Path>,
+    ) -> Result<Self, SgxError> {
+        let (path, path_bytes) = rooted(root.as_ref(), path.as_ref());
         let inner = enclave.ocall("shim_open", path_bytes, || File::open(&path))??;
         Ok(ShimFile { enclave, inner, path })
     }
@@ -126,14 +144,19 @@ impl ShimFile {
     }
 }
 
-/// Deletes a file through the shim. Costs one ocall.
+/// Deletes `path` under `root` through the shim. Costs one ocall
+/// carrying the path relative to `root`.
 ///
 /// # Errors
 ///
 /// See [`ShimFile::create`].
-pub fn shim_remove_file(enclave: &Enclave, path: impl AsRef<Path>) -> Result<(), SgxError> {
-    let path = path.as_ref();
-    enclave.ocall("shim_unlink", path.as_os_str().len(), || std::fs::remove_file(path))??;
+pub fn shim_remove_file(
+    enclave: &Enclave,
+    root: impl AsRef<Path>,
+    path: impl AsRef<Path>,
+) -> Result<(), SgxError> {
+    let (path, path_bytes) = rooted(root.as_ref(), path.as_ref());
+    enclave.ocall("shim_unlink", path_bytes, || std::fs::remove_file(&path))??;
     Ok(())
 }
 
@@ -239,15 +262,32 @@ impl HostFile {
 /// sharder/engine) can be placed on either side of the boundary without
 /// code changes — the essence of what class-level partitioning moves
 /// around.
+///
+/// The rooted variants resolve relative paths under a root directory
+/// (an application's working directory), so components can name their
+/// files relative to it.
 #[derive(Debug, Clone)]
 pub enum IoBackend {
-    /// Direct host I/O.
+    /// Direct host I/O; paths are used as given.
     Host,
-    /// Relayed I/O through the enclave shim (each operation an ocall).
-    Enclave(Arc<Enclave>),
+    /// Direct host I/O under a root directory.
+    HostAt(PathBuf),
+    /// Relayed I/O through the enclave shim (each operation an ocall)
+    /// under a root directory; a relayed path is charged by its bytes
+    /// relative to the root.
+    Enclave(Arc<Enclave>, PathBuf),
 }
 
 impl IoBackend {
+    /// `path` as this backend opens it: joined under the backend's root,
+    /// if any (an absolute `path` stays as it is).
+    pub fn resolve(&self, path: impl AsRef<Path>) -> PathBuf {
+        match self {
+            IoBackend::Host => path.as_ref().to_path_buf(),
+            IoBackend::HostAt(root) | IoBackend::Enclave(_, root) => root.join(path),
+        }
+    }
+
     /// Creates (truncating) a file on this backend.
     ///
     /// # Errors
@@ -255,8 +295,10 @@ impl IoBackend {
     /// Propagates host/relay I/O failure.
     pub fn create(&self, path: impl AsRef<Path>) -> Result<BackendFile, SgxError> {
         match self {
-            IoBackend::Host => Ok(BackendFile::Host(HostFile::create(path)?)),
-            IoBackend::Enclave(e) => Ok(BackendFile::Shim(ShimFile::create(Arc::clone(e), path)?)),
+            IoBackend::Enclave(e, root) => {
+                Ok(BackendFile::Shim(ShimFile::create(Arc::clone(e), root, path)?))
+            }
+            _ => Ok(BackendFile::Host(HostFile::create(self.resolve(path))?)),
         }
     }
 
@@ -267,8 +309,10 @@ impl IoBackend {
     /// Propagates host/relay I/O failure.
     pub fn open(&self, path: impl AsRef<Path>) -> Result<BackendFile, SgxError> {
         match self {
-            IoBackend::Host => Ok(BackendFile::Host(HostFile::open(path)?)),
-            IoBackend::Enclave(e) => Ok(BackendFile::Shim(ShimFile::open(Arc::clone(e), path)?)),
+            IoBackend::Enclave(e, root) => {
+                Ok(BackendFile::Shim(ShimFile::open(Arc::clone(e), root, path)?))
+            }
+            _ => Ok(BackendFile::Host(HostFile::open(self.resolve(path))?)),
         }
     }
 }
@@ -353,7 +397,7 @@ mod tests {
     fn shim_roundtrip_counts_ocalls() {
         let e = enclave();
         let path = temp_path("roundtrip");
-        let mut f = ShimFile::create(Arc::clone(&e), &path).unwrap();
+        let mut f = ShimFile::create(Arc::clone(&e), "/", &path).unwrap();
         f.write_all(b"hello enclave").unwrap();
         f.seek(SeekFrom::Start(0)).unwrap();
         let mut buf = [0u8; 13];
@@ -363,7 +407,28 @@ mod tests {
         // create + write + seek + read = 4 ocalls
         assert_eq!(s.ocalls, 4);
         assert!(s.bytes_out >= 13);
-        shim_remove_file(&e, &path).unwrap();
+        shim_remove_file(&e, "/", &path).unwrap();
+    }
+
+    #[test]
+    fn relayed_paths_are_charged_relative_to_the_root() {
+        // The same relative name under a short and a long root moves the
+        // same bytes out, whether it is passed relative or absolute.
+        let short = temp_path("r");
+        let long = temp_path("a_much_longer_root_directory").join("nested");
+        let mut bytes_out = Vec::new();
+        for (root, name) in [(&short, PathBuf::from("f.bin")), (&long, long.join("f.bin"))] {
+            std::fs::create_dir_all(root).unwrap();
+            let e = enclave();
+            let backend = IoBackend::Enclave(Arc::clone(&e), root.clone());
+            backend.create(&name).unwrap();
+            backend.open(&name).unwrap();
+            shim_remove_file(&e, root, &name).unwrap();
+            bytes_out.push((e.stats().bytes_out, e.cost().charged()));
+            std::fs::remove_dir_all(root).unwrap();
+        }
+        assert_eq!(bytes_out[0], bytes_out[1]);
+        assert_eq!(bytes_out[0].0, 3 * "f.bin".len() as u64);
     }
 
     #[test]
@@ -379,7 +444,7 @@ mod tests {
     #[test]
     fn shim_open_missing_file_is_host_io_error() {
         let e = enclave();
-        let err = ShimFile::open(e, "/nonexistent/definitely/missing").unwrap_err();
+        let err = ShimFile::open(e, "/nonexistent", "definitely/missing").unwrap_err();
         assert!(matches!(err, SgxError::HostIo { .. }));
     }
 
@@ -396,7 +461,7 @@ mod tests {
     fn lost_enclave_fails_shim_ops() {
         let e = enclave();
         let path = temp_path("lost");
-        let mut f = ShimFile::create(Arc::clone(&e), &path).unwrap();
+        let mut f = ShimFile::create(Arc::clone(&e), "/", &path).unwrap();
         e.destroy();
         assert_eq!(f.write_all(b"x").unwrap_err(), SgxError::EnclaveLost);
         std::fs::remove_file(&path).unwrap();

@@ -5,30 +5,37 @@ use std::f64::consts::PI;
 /// A complex number as a `(re, im)` pair.
 pub type Complex = (f64, f64);
 
-/// In-place iterative radix-2 Cooley–Tukey FFT.
+/// Host nanoseconds per butterfly of [`run`], calibrated once in
+/// release mode (see `docs/COST_MODEL.md`).
+pub const NS_PER_BUTTERFLY: f64 = 5.7;
+
+/// In-place iterative radix-2 Cooley–Tukey FFT. Returns the butterflies
+/// computed.
 ///
 /// # Panics
 ///
 /// Panics if `data.len()` is not a power of two.
-pub fn fft(data: &mut [Complex]) {
-    transform(data, -1.0);
+pub fn fft(data: &mut [Complex]) -> u64 {
+    transform(data, -1.0)
 }
 
-/// Inverse FFT (unscaled output is divided by `n`).
+/// Inverse FFT (unscaled output is divided by `n`). Returns the
+/// butterflies computed.
 ///
 /// # Panics
 ///
 /// Panics if `data.len()` is not a power of two.
-pub fn ifft(data: &mut [Complex]) {
-    transform(data, 1.0);
+pub fn ifft(data: &mut [Complex]) -> u64 {
+    let butterflies = transform(data, 1.0);
     let n = data.len() as f64;
     for c in data.iter_mut() {
         c.0 /= n;
         c.1 /= n;
     }
+    butterflies
 }
 
-fn transform(data: &mut [Complex], sign: f64) {
+fn transform(data: &mut [Complex], sign: f64) -> u64 {
     let n = data.len();
     assert!(n.is_power_of_two(), "fft length must be a power of two, got {n}");
     // Bit-reversal permutation.
@@ -40,11 +47,13 @@ fn transform(data: &mut [Complex], sign: f64) {
         }
     }
     // Butterflies.
+    let mut butterflies = 0u64;
     let mut len = 2;
     while len <= n {
         let ang = sign * 2.0 * PI / len as f64;
         let (w_re, w_im) = (ang.cos(), ang.sin());
         for start in (0..n).step_by(len) {
+            butterflies += len as u64 / 2;
             let (mut cur_re, mut cur_im) = (1.0f64, 0.0f64);
             for k in 0..len / 2 {
                 let (a_re, a_im) = data[start + k];
@@ -60,20 +69,21 @@ fn transform(data: &mut [Complex], sign: f64) {
         }
         len <<= 1;
     }
+    butterflies
 }
 
 /// Runs the benchmark kernel: forward+inverse FFT over `n` complex
-/// samples (`n` must be a power of two), returning a checksum.
+/// samples (`n` must be a power of two), returning a checksum and the
+/// butterflies computed.
 ///
 /// # Panics
 ///
 /// Panics if `n` is not a power of two.
-pub fn run(n: usize) -> f64 {
+pub fn run(n: usize) -> (f64, u64) {
     let mut data: Vec<Complex> =
         (0..n).map(|i| ((i % 31) as f64 * 0.25, (i % 17) as f64 * -0.5)).collect();
-    fft(&mut data);
-    ifft(&mut data);
-    data.iter().map(|c| c.0 + c.1).sum()
+    let butterflies = fft(&mut data) + ifft(&mut data);
+    (data.iter().map(|c| c.0 + c.1).sum(), butterflies)
 }
 
 /// Working-set size in bytes for an `n`-point run.
@@ -133,6 +143,7 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         assert_eq!(run(256), run(256));
+        assert_eq!(run(256).1, 2 * 128 * 8, "n/2 butterflies per stage, log2(n) stages, twice");
         assert_eq!(working_set_bytes(1024), 16384);
     }
 }

@@ -13,8 +13,8 @@
 //! use specjvm::Workload;
 //!
 //! for w in Workload::all() {
-//!     let checksum = w.run_once();
-//!     assert!(checksum.is_finite());
+//!     let (checksum, work) = w.run_once();
+//!     assert!(checksum.is_finite() && work > 0);
 //! }
 //! ```
 
@@ -71,8 +71,9 @@ impl Workload {
         }
     }
 
-    /// Runs one iteration at the default size; returns a checksum.
-    pub fn run_once(&self) -> f64 {
+    /// Runs one iteration at the default size; returns a checksum and
+    /// the work units the kernel counted (see [`Workload::ns_per_unit`]).
+    pub fn run_once(&self) -> (f64, u64) {
         match self {
             Workload::MpegAudio => mpegaudio::run(mpegaudio::WINDOW + mpegaudio::BANDS * 512),
             Workload::Fft => fft::run(1 << 16),
@@ -98,14 +99,32 @@ impl Workload {
     }
 
     /// Runs `reps() / divisor` kernel iterations (at least one) and
-    /// returns the accumulated checksum.
-    pub fn run_scaled(&self, divisor: u64) -> f64 {
+    /// returns the accumulated checksum and work units.
+    pub fn run_scaled(&self, divisor: u64) -> (f64, u64) {
         let reps = (self.reps() / divisor.max(1)).max(1);
-        let mut acc = 0.0;
+        let (mut acc, mut work) = (0.0, 0);
         for _ in 0..reps {
-            acc += self.run_once();
+            let (checksum, units) = self.run_once();
+            acc += checksum;
+            work += units;
         }
-        acc
+        (acc, work)
+    }
+
+    /// Host nanoseconds per counted work unit of this kernel: the
+    /// `NS_PER_*` constant next to it, calibrated once in release mode.
+    /// Charging `units × ns_per_unit` keeps model time a pure function
+    /// of the workload while staying close to what the kernel costs on
+    /// a host.
+    pub fn ns_per_unit(&self) -> f64 {
+        match self {
+            Workload::MpegAudio => mpegaudio::NS_PER_TAP,
+            Workload::Fft => fft::NS_PER_BUTTERFLY,
+            Workload::MonteCarlo => montecarlo::NS_PER_SAMPLE,
+            Workload::Sor => sor::NS_PER_UPDATE,
+            Workload::Lu => lu::NS_PER_UPDATE,
+            Workload::Sparse => sparse::NS_PER_NONZERO,
+        }
     }
 
     /// Default working-set size in bytes (drives the MEE compute
@@ -165,7 +184,8 @@ mod tests {
     #[test]
     fn all_workloads_run_and_are_deterministic() {
         for w in Workload::all() {
-            assert_eq!(w.run_once().to_bits(), w.run_once().to_bits(), "{w}");
+            let (a, b) = (w.run_once(), w.run_once());
+            assert_eq!((a.0.to_bits(), a.1), (b.0.to_bits(), b.1), "{w}");
         }
     }
 

@@ -58,7 +58,13 @@ pub struct LuFactors {
     pub lu: Matrix,
     /// Row permutation.
     pub pivots: Vec<usize>,
+    /// Multiply-subtract updates the elimination made.
+    pub updates: u64,
 }
+
+/// Host nanoseconds per elimination update of [`run`], calibrated once
+/// in release mode (see `docs/COST_MODEL.md`).
+pub const NS_PER_UPDATE: f64 = 0.38;
 
 /// Factorises `a` in place with partial pivoting.
 ///
@@ -66,6 +72,7 @@ pub struct LuFactors {
 pub fn factor(mut a: Matrix) -> Option<LuFactors> {
     let n = a.n;
     let mut pivots: Vec<usize> = (0..n).collect();
+    let mut updates = 0u64;
     for k in 0..n {
         // Pivot search.
         let (mut p, mut max) = (k, a.at(k, k).abs());
@@ -91,12 +98,13 @@ pub fn factor(mut a: Matrix) -> Option<LuFactors> {
         for i in k + 1..n {
             let factor = a.at(i, k) / pivot;
             *a.at_mut(i, k) = factor;
+            updates += (n - k - 1) as u64;
             for j in k + 1..n {
                 *a.at_mut(i, j) -= factor * a.at(k, j);
             }
         }
     }
-    Some(LuFactors { lu: a, pivots })
+    Some(LuFactors { lu: a, pivots, updates })
 }
 
 /// Solves `A x = b` given factors of `A`.
@@ -121,12 +129,12 @@ pub fn solve(f: &LuFactors, b: &[f64]) -> Vec<f64> {
 }
 
 /// Benchmark kernel: factor a synthetic `n × n` matrix and solve one
-/// system; returns a checksum.
-pub fn run(n: usize) -> f64 {
+/// system; returns a checksum and the elimination updates made.
+pub fn run(n: usize) -> (f64, u64) {
     let a = Matrix::synthetic(n);
     let f = factor(a).expect("synthetic matrix is non-singular");
     let b: Vec<f64> = (0..n).map(|i| (i % 11) as f64).collect();
-    solve(&f, &b).iter().sum()
+    (solve(&f, &b).iter().sum(), f.updates)
 }
 
 /// Working-set size in bytes for an `n × n` run.
@@ -169,5 +177,7 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         assert_eq!(run(32), run(32));
+        // Σ_k (n-k-1)² updates: 31² + 30² + … + 1².
+        assert_eq!(run(32).1, (1..32u64).map(|m| m * m).sum::<u64>());
     }
 }

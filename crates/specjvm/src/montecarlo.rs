@@ -27,8 +27,13 @@ impl Lcg {
     }
 }
 
-/// Estimates π from `samples` dart throws.
-pub fn run(samples: u64, seed: u64) -> f64 {
+/// Host nanoseconds per dart of [`run`], calibrated once in release
+/// mode (see `docs/COST_MODEL.md`).
+pub const NS_PER_SAMPLE: f64 = 3.9;
+
+/// Estimates π from `samples` dart throws; returns the estimate and the
+/// darts thrown.
+pub fn run(samples: u64, seed: u64) -> (f64, u64) {
     let mut rng = Lcg::new(seed);
     let mut inside = 0u64;
     for _ in 0..samples {
@@ -38,7 +43,7 @@ pub fn run(samples: u64, seed: u64) -> f64 {
             inside += 1;
         }
     }
-    4.0 * inside as f64 / samples as f64
+    (4.0 * inside as f64 / samples as f64, samples)
 }
 
 /// Working-set size in bytes (the kernel itself is cache-resident).
@@ -52,7 +57,8 @@ mod tests {
 
     #[test]
     fn estimates_pi() {
-        let pi = run(200_000, 42);
+        let (pi, darts) = run(200_000, 42);
+        assert_eq!(darts, 200_000);
         assert!((pi - std::f64::consts::PI).abs() < 0.02, "estimate {pi}");
     }
 

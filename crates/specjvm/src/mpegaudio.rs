@@ -14,6 +14,12 @@ use std::f64::consts::PI;
 pub const BANDS: usize = 32;
 /// Window length in samples.
 pub const WINDOW: usize = 512;
+/// Multiply-accumulate taps per granule: the windowed fold's
+/// [`WINDOW`] plus the matrixing DCT's `BANDS × 64`.
+pub const TAPS_PER_GRANULE: u64 = (WINDOW + BANDS * 64) as u64;
+/// Host nanoseconds per tap of [`run`], calibrated once in release
+/// mode (see `docs/COST_MODEL.md`).
+pub const NS_PER_TAP: f64 = 12.0;
 
 /// Deterministic synthetic PCM: a mix of three tones plus a cheap
 /// pseudo-noise term.
@@ -74,10 +80,12 @@ pub fn filterbank(pcm: &[f64]) -> Vec<[f64; BANDS]> {
 }
 
 /// Benchmark kernel: filterbank analysis over `samples` PCM samples;
-/// returns total spectral energy.
-pub fn run(samples: usize) -> f64 {
+/// returns total spectral energy and the taps computed.
+pub fn run(samples: usize) -> (f64, u64) {
     let pcm = synth_pcm(samples);
-    filterbank(&pcm).iter().flat_map(|g| g.iter()).map(|v| v * v).sum()
+    let granules = filterbank(&pcm);
+    let energy = granules.iter().flat_map(|g| g.iter()).map(|v| v * v).sum();
+    (energy, granules.len() as u64 * TAPS_PER_GRANULE)
 }
 
 /// Working-set size in bytes for a `samples`-sample run.
@@ -120,8 +128,9 @@ mod tests {
 
     #[test]
     fn run_is_deterministic_and_finite() {
-        let a = run(WINDOW + BANDS * 32);
+        let (a, taps) = run(WINDOW + BANDS * 32);
         assert!(a.is_finite() && a > 0.0);
-        assert_eq!(a, run(WINDOW + BANDS * 32));
+        assert_eq!((a, taps), run(WINDOW + BANDS * 32));
+        assert_eq!(taps, 32 * TAPS_PER_GRANULE);
     }
 }

@@ -1,16 +1,23 @@
 //! Jacobi successive over-relaxation (the SciMark `sor` kernel).
 
+/// Host nanoseconds per grid-point update of [`run`], calibrated once
+/// in release mode (see `docs/COST_MODEL.md`).
+pub const NS_PER_UPDATE: f64 = 5.6;
+
 /// Runs `iterations` of SOR with factor `omega` on an `n × n` grid and
-/// returns the final centre value (a stable checksum).
-pub fn run(n: usize, iterations: u32, omega: f64) -> f64 {
+/// returns the final centre value (a stable checksum) and the
+/// grid-point updates made.
+pub fn run(n: usize, iterations: u32, omega: f64) -> (f64, u64) {
     let n = n.max(3);
     let mut grid = vec![0.0f64; n * n];
     // Boundary condition: hot top edge.
     grid[..n].fill(1.0);
     let omega_over_four = omega * 0.25;
     let one_minus_omega = 1.0 - omega;
+    let mut updates = 0u64;
     for _ in 0..iterations {
         for i in 1..n - 1 {
+            updates += n as u64 - 2;
             for j in 1..n - 1 {
                 let idx = i * n + j;
                 let neighbours = grid[idx - n] + grid[idx + n] + grid[idx - 1] + grid[idx + 1];
@@ -18,14 +25,14 @@ pub fn run(n: usize, iterations: u32, omega: f64) -> f64 {
             }
         }
     }
-    grid[(n / 2) * n + n / 2]
+    (grid[(n / 2) * n + n / 2], updates)
 }
 
 /// Residual of the relaxation: max interior update magnitude after one
 /// more sweep (used by tests to check convergence).
 pub fn residual(n: usize, iterations: u32, omega: f64) -> f64 {
-    let a = run(n, iterations, omega);
-    let b = run(n, iterations + 1, omega);
+    let (a, _) = run(n, iterations, omega);
+    let (b, _) = run(n, iterations + 1, omega);
     (a - b).abs()
 }
 
@@ -40,7 +47,8 @@ mod tests {
 
     #[test]
     fn heat_diffuses_from_the_hot_edge() {
-        let v = run(32, 200, 1.25);
+        let (v, updates) = run(32, 200, 1.25);
+        assert_eq!(updates, 200 * 30 * 30);
         assert!(v > 0.0 && v < 1.0, "centre value {v} must be between boundaries");
     }
 

@@ -99,19 +99,25 @@ impl CsrMatrix {
     }
 }
 
+/// Host nanoseconds per nonzero multiplied by [`run`], calibrated once
+/// in release mode (see `docs/COST_MODEL.md`).
+pub const NS_PER_NONZERO: f64 = 1.8;
+
 /// Benchmark kernel: `iterations` repeated mat-vec products on a
-/// synthetic matrix; returns a checksum.
-pub fn run(n: usize, nnz_per_row: usize, iterations: u32) -> f64 {
+/// synthetic matrix; returns a checksum and the nonzeros multiplied.
+pub fn run(n: usize, nnz_per_row: usize, iterations: u32) -> (f64, u64) {
     let m = CsrMatrix::synthetic(n, nnz_per_row);
     let mut x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+    let mut multiplies = 0u64;
     for _ in 0..iterations {
         let y = m.matvec(&x);
+        multiplies += m.nnz() as u64;
         let norm = y.iter().map(|v| v.abs()).fold(0.0f64, f64::max).max(1e-30);
         for (xi, yi) in x.iter_mut().zip(&y) {
             *xi = yi / norm;
         }
     }
-    x.iter().sum()
+    (x.iter().sum(), multiplies)
 }
 
 /// Working-set size in bytes for an `n`/`nnz_per_row` run.
@@ -158,6 +164,7 @@ mod tests {
         let a = run(64, 4, 10);
         let b = run(64, 4, 10);
         assert_eq!(a, b);
-        assert!(a.is_finite());
+        assert!(a.0.is_finite());
+        assert_eq!(a.1, 10 * CsrMatrix::synthetic(64, 4).nnz() as u64);
     }
 }

@@ -25,6 +25,7 @@ fn main() {
 mod experiments_cfg {
     use std::sync::Arc;
 
+    use experiments::progs::ENGINE_KERNEL_NS_PER_EDGE;
     use montsalvat::core::annotation::Trust;
     use montsalvat::core::class::{ClassDef, Instr, MethodDef, MethodKind, MethodRef, CTOR};
     use montsalvat::core::exec::app::{AppConfig, PartitionedApp, Placement, SingleWorldApp};
@@ -65,30 +66,27 @@ mod experiments_cfg {
                 MethodRef::new("GraphChiEngine", "run"),
             ];
             let options = ImageOptions::with_entry_points(entries);
-            let dir = std::env::temp_dir().join(format!(
-                "pagerank_example_{}_{}",
-                std::process::id(),
-                self.label()
-            ));
-            let dir_str = dir.to_string_lossy().into_owned();
+            // Relative to the app's working directory, which the app
+            // creates and removes.
+            let dir = "graph";
             let drive = |ctx: &mut montsalvat::core::Ctx<'_>| {
                 let sharder = ctx.new_object("FastSharder", &[])?;
-                let t0 = ctx.cost_now();
+                let t0 = ctx.cost_charged();
                 ctx.call(
                     &sharder,
                     "shard",
                     &[
-                        Value::from(dir_str.as_str()),
+                        Value::from(dir),
                         Value::Int(vertices),
                         Value::Int(edges),
                         Value::Int(shards),
                         Value::Int(7),
                     ],
                 )?;
-                let t1 = ctx.cost_now();
+                let t1 = ctx.cost_charged();
                 let engine = ctx.new_object("GraphChiEngine", &[])?;
-                ctx.call(&engine, "run", &[Value::from(dir_str.as_str()), Value::Int(4)])?;
-                let t2 = ctx.cost_now();
+                ctx.call(&engine, "run", &[Value::from(dir), Value::Int(4)])?;
+                let t2 = ctx.cost_charged();
                 Ok(((t1 - t0).as_secs_f64(), (t2 - t1).as_secs_f64()))
             };
             let (sharding, engine) = if partitioned {
@@ -106,7 +104,6 @@ mod experiments_cfg {
                     .expect("launch");
                 app.enter(drive).expect("runs")
             };
-            std::fs::remove_dir_all(&dir).ok();
             (sharding + engine, sharding, engine)
         }
     }
@@ -139,13 +136,11 @@ mod experiments_cfg {
                 .map_err(|err| VmError::App(err.to_string()))?;
             let ws = graph.num_vertices as usize * 16 + graph.edge_count() as usize * 8;
             let result = ctx
-                .compute_with(ws, || {
-                    graphchi::engine::run(
-                        &backend,
-                        &graph,
-                        &graphchi::programs::PageRank::default(),
-                        iters,
-                    )
+                .compute_with(ws, ENGINE_KERNEL_NS_PER_EDGE, || {
+                    let pagerank = graphchi::programs::PageRank::default();
+                    let result = graphchi::engine::run(&backend, &graph, &pagerank, iters);
+                    let edges = result.as_ref().map_or(0, |r| r.stats.edges_processed);
+                    (result, edges)
                 })
                 .map_err(|err| VmError::App(err.to_string()))?;
             Ok(Value::Float(result.values.iter().sum()))

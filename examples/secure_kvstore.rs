@@ -97,23 +97,24 @@ fn run_scheme(name: &str, reader_trust: Trust, writer_trust: Trust, n: i64) {
     let app =
         PartitionedApp::launch(&trusted, &untrusted, AppConfig::default()).expect("launch kv app");
 
-    let path = std::env::temp_dir().join(format!("secure_kv_{name}_{}.store", std::process::id()));
-    let path_str = path.to_string_lossy().into_owned();
+    // Relative to the app's working directory, which the app creates
+    // and removes.
+    let path = "secure_kv.store";
     let cost = Arc::clone(&app.shared.cost);
-    let start = cost.now();
+    let start = cost.charged();
     let hits = app
         .enter_untrusted(|ctx| {
             let w = ctx.new_object("DBWriter", &[])?;
-            ctx.call(&w, "write", &[Value::from(path_str.as_str()), Value::Int(n)])?;
+            ctx.call(&w, "write", &[Value::from(path), Value::Int(n)])?;
             let r = ctx.new_object("DBReader", &[])?;
-            ctx.call(&r, "read", &[Value::from(path_str.as_str()), Value::Int(n)])
+            ctx.call(&r, "read", &[Value::from(path), Value::Int(n)])
         })
         .expect("kv app runs");
-    let elapsed = cost.now() - start;
+    let elapsed = cost.charged() - start;
 
     let stats = app.sgx_stats();
     println!(
-        "{name}: {n} keys written+read ({} hits) in {:.3}s simulated | ecalls {}, ocalls {} \
+        "{name}: {n} keys written+read ({} hits) in {:.3}s of model time | ecalls {}, ocalls {} \
          (write-induced crossings {})",
         hits.as_int().unwrap_or(0),
         elapsed.as_secs_f64(),
@@ -126,7 +127,6 @@ fn run_scheme(name: &str, reader_trust: Trust, writer_trust: Trust, n: i64) {
         app.registry_len(Side::Trusted),
         app.world_stats(Side::Untrusted).proxies_created
     );
-    std::fs::remove_file(&path).ok();
 }
 
 fn main() {
