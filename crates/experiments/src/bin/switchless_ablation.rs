@@ -5,9 +5,10 @@
 //!   against a trusted object's `set`/`get`, then goes quiet — the
 //!   arrival pattern adaptive scaling targets (scale up inside the
 //!   burst, park and retire between bursts). Modes: classic, two fixed
-//!   executors per side (`fixed2`), miss-driven scaling (`adaptive`),
-//!   and the same scaling with the trace-driven tuner attached
-//!   (`autotuned`).
+//!   executors per side (`fixed2`) and miss-driven scaling up to 8
+//!   executors (`adaptive`). At full scale 16 callers outnumber those 8
+//!   executors and the quiet gaps outlast `idle_park`, so the pool is
+//!   grown and retired in every burst.
 //! - **Nested.** Concurrent callers invoke `@Trusted TNest.ping`, whose
 //!   body crosses back out of the enclave twice
 //!   ([`experiments::progs::nested_bench_program`]), through classic
@@ -41,8 +42,7 @@ use std::time::Duration;
 use experiments::report::{print_table, telemetry_out_from_args, Gate, Scale};
 use montsalvat_core::class::{MethodRef, Program};
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat_core::exec::switchless::tuner::TunerConfig;
-use montsalvat_core::exec::switchless::{SchedulerConfig, SwitchlessConfig};
+use montsalvat_core::exec::switchless::{Scaling, SwitchlessConfig};
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::transform::transform;
 use montsalvat_core::{Ctx, VmError};
@@ -188,7 +188,7 @@ fn main() {
     let scale = Scale::from_args();
     let (bursts, threads, calls, nested_threads, nested_calls) = match scale {
         Scale::Quick => (6, 4, 8, 6, 40),
-        Scale::Full => (16, 8, 32, 8, 200),
+        Scale::Full => (16, 16, 32, 8, 200),
     };
     println!(
         "switchless ablation: {bursts} bursts x {threads} callers x {calls} calls, then \
@@ -197,17 +197,13 @@ fn main() {
 
     let adaptive_config = SwitchlessConfig {
         min_workers: 1,
-        max_workers: 8,
-        scale_up_misses: 2,
+        autotune: Some(Scaling { max_workers: 8, scale_up_misses: 2 }),
         ..SwitchlessConfig::default()
     };
-    let autotuned_config =
-        SwitchlessConfig { autotune: Some(TunerConfig::default()), ..adaptive_config.clone() };
     let bursty = [
         run_bursty("classic", None, bursts, threads, calls),
         run_bursty("fixed2", Some(SwitchlessConfig::fixed(2)), bursts, threads, calls),
         run_bursty("adaptive", Some(adaptive_config), bursts, threads, calls),
-        run_bursty("autotuned", Some(autotuned_config), bursts, threads, calls),
     ];
 
     let rows: Vec<Vec<String>> = bursty
@@ -232,11 +228,6 @@ fn main() {
                     m.counter(Counter::SwitchlessScaleUps),
                     m.counter(Counter::SwitchlessScaleDowns)
                 ),
-                format!(
-                    "{}/{}",
-                    m.counter(Counter::SwitchlessTuneUps),
-                    m.counter(Counter::SwitchlessTuneDowns)
-                ),
             ]
         })
         .collect();
@@ -251,15 +242,13 @@ fn main() {
             "fallbacks",
             "wakes",
             "scale +/-",
-            "tune +/-",
         ],
         &rows,
     );
 
     let sched_config = SwitchlessConfig {
         min_workers: 4,
-        max_workers: 8,
-        scheduler: Some(SchedulerConfig { steal_batch: 8, ..Default::default() }),
+        autotune: Some(Scaling { max_workers: 8, scale_up_misses: 4 }),
         ..Default::default()
     };
     let (nested_classic, classic_sum) =
@@ -310,9 +299,9 @@ fn main() {
     experiments::report::maybe_export_trace();
 
     // The claims this ablation exists to demonstrate.
-    let [classic, fixed, adaptive, autotuned] = &bursty;
+    let [classic, fixed, adaptive] = &bursty;
     let mut gate = Gate::new("switchless_ablation", scale);
-    for sw in [fixed, adaptive, autotuned] {
+    for sw in [fixed, adaptive] {
         let name = format!("switchless.{}", sw.label);
         let hits = sw.counter(Counter::SwitchlessCalls);
         gate.lt(format!("{name}.fewer_transitions"), sw.transitions, classic.transitions);

@@ -646,9 +646,7 @@ pub fn extract_class_costs(trace: &ParsedTrace, params: &CostParams) -> Vec<Clas
                     region.serde_ns += spans[i].dur_ns();
                     region.payload_bytes += payload_bytes(&spans[i].name);
                 }
-                "queue" if !spans[i].name.starts_with("tune:") => {
-                    region.queue_ns += spans[i].dur_ns();
-                }
+                "queue" => region.queue_ns += spans[i].dur_ns(),
                 "exec" | "gc" => region.exec_ns += exclusive(i),
                 "sgx" => region.classic += 1,
                 "shim" => region.shim += 1,

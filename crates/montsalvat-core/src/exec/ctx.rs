@@ -1068,12 +1068,6 @@ fn cross_call(
                 recv_hash,
                 msg.clone(),
             )?;
-            // Autotuning bookkeeping: every completed post (hit or
-            // fallback) advances the tuner's tick counter, and every
-            // `interval_calls` posts the controller re-reads the
-            // task-wait window and resizes the scheduler. No-op unless
-            // it was configured with `autotune`.
-            scheduler.maybe_tune(trust);
             match outcome {
                 PostOutcome::Served(served) => {
                     switchless_hit = true;

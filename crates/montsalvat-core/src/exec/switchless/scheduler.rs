@@ -11,13 +11,16 @@
 //!   *injector* queue. A full injector rejects the post into the
 //!   classic-fallback path immediately (backpressure — a poster is
 //!   never blocked on admission).
-//! - **Executors** (sized by `min_workers..=max_workers`, grown on
-//!   miss pressure, retired after an idle park) each own a local
-//!   deque. Work is found in strict order:
+//! - **Executors** each own a local deque. A fixed pool runs
+//!   `min_workers` of them; under miss-driven [`Scaling`] a side grows
+//!   one executor per `scale_up_misses` misses up to `max_workers`,
+//!   and an executor idle for a full park retires back toward
+//!   `min_workers`. Work is found in strict order:
 //!   own deque (LIFO, locality) → steal a sibling's oldest task
-//!   (FIFO, charged [`CostParams::sched_steal_ns`]) → grab a batch
-//!   from the injector, serving the first task and parking the
-//!   surplus on the local deque where siblings can steal it.
+//!   (FIFO, charged [`CostParams::sched_steal_ns`]) → grab up to
+//!   [`STEAL_BATCH`] tasks from the injector, serving the first and
+//!   parking the surplus on the local deque where siblings can steal
+//!   it.
 //! - **Suspension**: when a task's body performs a nested crossing,
 //!   the posting executor does not block — it parks the task's state
 //!   on its stack (charged [`CostParams::sched_suspend_ns`], counted
@@ -35,10 +38,6 @@
 //!   poster claims a task still `QUEUED` itself and takes the
 //!   classic-fallback path (counted `rmi.sched_timeouts`), so a
 //!   stalled executor pool can never strand a poster.
-//! - **Tuning**: the optional [`tuner`](super::tuner) control law
-//!   sizes the executor pool and retunes the injector grab bound
-//!   (`target_batch` → the steal batch) from the always-on task-wait
-//!   histogram.
 //!
 //! Every post resolves exactly once — served hit or classic fallback —
 //! enforced by the task claim protocol (see [`task`](super::task)),
@@ -49,6 +48,7 @@
 //! [`CostParams::sched_suspend_ns`]: sgx_sim::cost::CostParams::sched_suspend_ns
 //! [`CostParams::sched_resume_ns`]: sgx_sim::cost::CostParams::sched_resume_ns
 //! [`SchedulerConfig::task_timeout`]: super::SchedulerConfig::task_timeout
+//! [`Scaling`]: super::Scaling
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -61,11 +61,8 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvErr
 use parking_lot::Mutex;
 use rmi::hash::ProxyHash;
 use sgx_sim::cost::CostModel;
-use telemetry::AtomicHistogram;
 
 use super::task::{with_current_task, ServeTask, TaskStage};
-use super::tuner::{Decision, Observation, WorkerAction};
-use super::TunerRuntime;
 use super::{PostOutcome, SchedulerConfig, ServeFn, SideStats, SwitchlessConfig, SwitchlessStats};
 use crate::annotation::Side;
 use crate::error::VmError;
@@ -75,6 +72,12 @@ use crate::exec::ctx::WireMsg;
 /// to a plain blocking wait (bounds stack growth under deep help-first
 /// recursion).
 const MAX_HELP_DEPTH: usize = 64;
+
+/// Most tasks one executor grabs from the injector per visit; the
+/// surplus lands on its local deque where siblings can steal it. 4 is
+/// the smallest bound at which `switchless_ablation`'s nested workload
+/// reliably steals (see `docs/SWITCHLESS.md`).
+const STEAL_BATCH: usize = 4;
 
 /// How long a waiter on either end of the hand-off spins before it
 /// parks: long enough to cover one served crossing on the host, short
@@ -163,30 +166,15 @@ pub(crate) struct SchedSide {
     misses: AtomicU64,
     /// Set by shutdown; parked executors exit at their next poll.
     pub(crate) stop: AtomicBool,
-    /// Tuner-chosen executor target: the retirement floor.
-    tuner_target: AtomicUsize,
-    /// Tuner-chosen injector grab bound (starts at
-    /// [`SchedulerConfig::steal_batch`]).
-    steal_target: AtomicUsize,
-    /// Classic fallbacks on this side — rejects *and* timeouts
-    /// (windowed by the tuner).
-    pub(crate) fallbacks: AtomicU64,
-    /// Per-side task-wait distribution (model ns); same values as the
-    /// global `rmi.sched_task_wait_ns` histogram.
-    wait_hist: AtomicHistogram,
-    /// Per-side injector grab sizes.
-    batch_hist: AtomicHistogram,
-    /// Posts since the tuner's last tick on this side.
-    posts_since_tick: AtomicU64,
 }
 
 impl SchedSide {
-    fn new(side: Side, config: &SwitchlessConfig, sched: &SchedulerConfig) -> SchedSide {
+    fn new(side: Side, config: &SwitchlessConfig) -> SchedSide {
         let (wake_tx, wake_rx) = crossbeam::channel::unbounded();
         SchedSide {
             side,
             injector: Mutex::new(VecDeque::new()),
-            slots: (0..config.max_workers)
+            slots: (0..config.max_workers())
                 .map(|_| Slot {
                     deque: Mutex::new(VecDeque::new()),
                     occupied: AtomicBool::new(false),
@@ -201,12 +189,6 @@ impl SchedSide {
             inflight: AtomicUsize::new(0),
             misses: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            tuner_target: AtomicUsize::new(config.min_workers),
-            steal_target: AtomicUsize::new(sched.steal_batch),
-            fallbacks: AtomicU64::new(0),
-            wait_hist: AtomicHistogram::new(),
-            batch_hist: AtomicHistogram::new(),
-            posts_since_tick: AtomicU64::new(0),
         }
     }
 
@@ -254,8 +236,6 @@ pub(crate) struct Scheduler {
     untrusted: Arc<SchedSide>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     executor_seq: AtomicUsize,
-    /// Present when [`SwitchlessConfig::autotune`] is set.
-    tuner: Option<TunerRuntime>,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -275,20 +255,16 @@ impl Scheduler {
     /// scheduler's telemetry.
     pub(crate) fn spawn(config: &SwitchlessConfig, serve: ServeFn, cost: Arc<CostModel>) -> Self {
         let config = config.normalized();
-        let sched = config.scheduler.clone().unwrap_or_default().normalized();
-        let tuner = TunerRuntime::from_config(&config, &cost);
-        cost.recorder()
-            .gauge_set(telemetry::Gauge::SwitchlessTargetBatch, sched.steal_batch as u64);
+        let sched = config.scheduler.clone().unwrap_or_default();
         let scheduler = Scheduler {
-            trusted: Arc::new(SchedSide::new(Side::Trusted, &config, &sched)),
-            untrusted: Arc::new(SchedSide::new(Side::Untrusted, &config, &sched)),
+            trusted: Arc::new(SchedSide::new(Side::Trusted, &config)),
+            untrusted: Arc::new(SchedSide::new(Side::Untrusted, &config)),
             config,
             sched,
             serve,
             cost,
             threads: Mutex::new(Vec::new()),
             executor_seq: AtomicUsize::new(0),
-            tuner,
         };
         for side in [Side::Trusted, Side::Untrusted] {
             for _ in 0..scheduler.config.min_workers {
@@ -335,8 +311,7 @@ impl Scheduler {
         // miss even if the injector still has room.
         if state.idle.load(Ordering::Relaxed) == 0 {
             recorder.incr(telemetry::Counter::SwitchlessMisses);
-            state.misses.fetch_add(1, Ordering::Relaxed);
-            self.maybe_scale_up(state);
+            self.count_miss(state);
         }
         // Backpressure: a full injector rejects immediately. The
         // classic path degrades gracefully; blocking here would not.
@@ -347,9 +322,7 @@ impl Scheduler {
             state.queued.fetch_sub(1, Ordering::Relaxed);
             recorder.incr(telemetry::Counter::SwitchlessFallbacks);
             recorder.incr(telemetry::Counter::SwitchlessMisses);
-            state.fallbacks.fetch_add(1, Ordering::Relaxed);
-            state.misses.fetch_add(1, Ordering::Relaxed);
-            self.maybe_scale_up(state);
+            self.count_miss(state);
             self.cost.charge_ns(self.cost.params().switchless_fallback_ns);
             return Ok(PostOutcome::Fallback);
         }
@@ -474,111 +447,19 @@ impl Scheduler {
         let recorder = self.cost.recorder();
         recorder.incr(telemetry::Counter::SchedTimeouts);
         recorder.incr(telemetry::Counter::SwitchlessFallbacks);
-        state.fallbacks.fetch_add(1, Ordering::Relaxed);
         recorder.gauge_set(telemetry::Gauge::SchedInflight, inflight as u64);
         recorder.gauge_set(telemetry::Gauge::SwitchlessQueueDepth, queued as u64);
         self.cost.charge_ns(self.cost.params().switchless_fallback_ns);
         true
     }
 
-    /// One tuner bookkeeping step for a call that just completed on
-    /// `side`. Cheap no-op unless autotuning is configured. Task waits
-    /// are recorded unconditionally, so the controller is live with
-    /// tracing off too.
-    pub(crate) fn maybe_tune(&self, side: Side) {
-        let Some(rt) = &self.tuner else { return };
-        let state = self.side(side);
-        let ticks = state.posts_since_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if ticks < rt.tuner.config().interval_calls {
-            return;
-        }
-        // One tick at a time per side; contended callers skip rather
-        // than queue (the next interval will tick again).
-        let Some(mut window) = rt.window(side).try_lock() else { return };
-        if state.posts_since_tick.load(Ordering::Relaxed) < rt.tuner.config().interval_calls {
-            return;
-        }
-        state.posts_since_tick.store(0, Ordering::Relaxed);
-
-        let wait_now = state.wait_hist.snapshot();
-        let batch_now = state.batch_hist.snapshot();
-        let fallbacks_now = state.fallbacks.load(Ordering::Relaxed);
-        let wait_window = wait_now.diff(&window.wait_prev);
-        let batch_window = batch_now.diff(&window.batch_prev);
-        let fallbacks = fallbacks_now.saturating_sub(window.fallbacks_prev);
-        window.wait_prev = wait_now;
-        window.batch_prev = batch_now;
-        window.fallbacks_prev = fallbacks_now;
-
-        let obs = Observation::from_window(
-            &wait_window,
-            &batch_window,
-            fallbacks,
-            state.active.load(Ordering::Relaxed),
-            state.steal_target.load(Ordering::Relaxed),
-        );
-        let decision = rt.tuner.decide(self.config.min_workers, self.config.max_workers, &obs);
-        self.apply_decision(state, &obs, &decision);
-    }
-
-    /// Applies one controller decision: resizes the executor target
-    /// (spawning immediately on growth, lowering the retirement floor
-    /// on shrink), stores the new injector grab bound, and exports the
-    /// decision as telemetry counters and a cat-`queue` tuner span.
-    fn apply_decision(&self, state: &Arc<SchedSide>, obs: &Observation, decision: &Decision) {
-        let recorder = self.cost.recorder();
-        let mut ups = 0u64;
-        let mut downs = 0u64;
-        match decision.workers {
-            WorkerAction::Grow => {
-                if let Some(n) = self.grow(state) {
-                    state.tuner_target.store(n, Ordering::Relaxed);
-                    self.spawn_executor(state);
-                    ups += 1;
-                }
-            }
-            WorkerAction::Shrink => {
-                let target =
-                    state.tuner_target.load(Ordering::Relaxed).max(self.config.min_workers);
-                if target > self.config.min_workers {
-                    state.tuner_target.store(target - 1, Ordering::Relaxed);
-                    downs += 1;
-                }
-            }
-            WorkerAction::Hold => {}
-        }
-        let target_batch = decision.target_batch.max(1);
-        if target_batch != obs.max_batch {
-            state.steal_target.store(target_batch, Ordering::Relaxed);
-            recorder.gauge_set(telemetry::Gauge::SwitchlessTargetBatch, target_batch as u64);
-            if target_batch > obs.max_batch {
-                ups += 1;
-            } else {
-                downs += 1;
-            }
-        }
-        recorder.add(telemetry::Counter::SwitchlessTuneUps, ups);
-        recorder.add(telemetry::Counter::SwitchlessTuneDowns, downs);
-        if ups + downs > 0 {
-            let tracer = self.cost.tracer();
-            let at = self.cost.now_ns();
-            tracer.span_at(state.side.lane(), "queue", None, at, at, tracer.wall_now_ns(), || {
-                format!(
-                    "tune:{} {} workers={} batch={} p95={}ns",
-                    state.side,
-                    decision.reason,
-                    state.active.load(Ordering::Relaxed),
-                    target_batch,
-                    obs.wait_p95_ns,
-                )
-            });
-        }
-    }
-
-    /// Spawns one more executor on `state`'s side if miss pressure has
-    /// accumulated and the pool is below `max_workers`.
-    fn maybe_scale_up(&self, state: &Arc<SchedSide>) {
-        if state.misses.load(Ordering::Relaxed) >= self.config.scale_up_misses
+    /// Counts one miss toward miss-driven scaling: once
+    /// `scale_up_misses` have accumulated on `state`'s side and the pool
+    /// is below `max_workers`, spawns one more executor. A fixed pool
+    /// counts nothing here.
+    fn count_miss(&self, state: &Arc<SchedSide>) {
+        let Some(scaling) = &self.config.autotune else { return };
+        if state.misses.fetch_add(1, Ordering::Relaxed) + 1 >= scaling.scale_up_misses
             && self.grow(state).is_some()
         {
             state.misses.store(0, Ordering::Relaxed);
@@ -591,7 +472,7 @@ impl Scheduler {
     /// runs `max_workers`, and returns the new count; the caller then
     /// spawns it.
     fn grow(&self, state: &SchedSide) -> Option<usize> {
-        let max = self.config.max_workers;
+        let max = self.config.max_workers();
         let n = 1 + state
             .active
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < max).then_some(n + 1))
@@ -705,11 +586,8 @@ fn executor_loop(
                 if state.stop.load(Ordering::Relaxed) {
                     break;
                 }
-                // Idle a full park interval: retire if above the
-                // tuner's executor target (which never drops below
-                // `min_workers`).
-                let floor = state.tuner_target.load(Ordering::Relaxed).max(config.min_workers);
-                if try_retire(state, floor) {
+                // Idle a full park interval: retire if above the floor.
+                if try_retire(state, config.min_workers) {
                     recorder.incr(telemetry::Counter::SwitchlessScaleDowns);
                     recorder.gauge_set(
                         telemetry::Gauge::SwitchlessWorkers,
@@ -717,19 +595,6 @@ fn executor_loop(
                     );
                     retired = true;
                     break;
-                }
-                // The tuner only ticks on posts, so once the load
-                // stops it can never shrink its target again. An
-                // idle park is that missing idle signal: decay the
-                // target one step, and a grown pool drains back
-                // to `min_workers` instead of staying pinned.
-                if floor > config.min_workers {
-                    let _ = state.tuner_target.compare_exchange(
-                        floor,
-                        floor - 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    );
                 }
                 parked = true;
             }
@@ -777,11 +642,10 @@ fn next_task(state: &Arc<SchedSide>, slot: usize, cost: &Arc<CostModel>) -> Opti
             return Some(task);
         }
     }
-    let batch_target = state.steal_target.load(Ordering::Relaxed).max(1);
     let mut grabbed: Vec<Arc<ServeTask>> = Vec::new();
     {
         let mut injector = state.injector.lock();
-        while grabbed.len() < batch_target {
+        while grabbed.len() < STEAL_BATCH {
             match injector.pop_front() {
                 Some(task) => grabbed.push(task),
                 None => break,
@@ -796,7 +660,6 @@ fn next_task(state: &Arc<SchedSide>, slot: usize, cost: &Arc<CostModel>) -> Opti
     // payload).
     let recorder = cost.recorder();
     recorder.record(telemetry::Hist::SwitchlessBatchJobs, grabbed.len() as u64);
-    state.batch_hist.record(grabbed.len() as u64);
     let tracer = cost.tracer();
     let frame_bytes = if tracer.is_enabled() {
         let payloads: Vec<(usize, bool)> =
@@ -834,7 +697,6 @@ fn run_task(state: &Arc<SchedSide>, task: &Arc<ServeTask>, serve: &ServeFn, cost
     let picked_up = cost.now_ns();
     let wait = picked_up.saturating_sub(task.posted_model_ns);
     recorder.record(telemetry::Hist::SchedTaskWaitNs, wait);
-    state.wait_hist.record(wait);
     if let Some((posted_model, posted_wall)) = task.posted {
         cost.tracer().span_at(
             state.side.lane(),
@@ -865,6 +727,7 @@ mod tests {
     use sgx_sim::cost::{ClockMode, CostParams};
 
     use super::*;
+    use crate::exec::switchless::Scaling;
 
     fn echo_serve() -> ServeFn {
         Arc::new(|_side, _class, _relay, _hash, msg| Ok(msg.clone()))
@@ -945,15 +808,9 @@ mod tests {
         let (release_tx, release_rx) = bounded::<()>(64);
         let config = SwitchlessConfig {
             min_workers: 1,
-            max_workers: 3,
-            scale_up_misses: 1,
             idle_park: Duration::from_millis(5),
-            scheduler: Some(SchedulerConfig {
-                injector_capacity: 1,
-                steal_batch: 1,
-                ..SchedulerConfig::default()
-            }),
-            ..SwitchlessConfig::default()
+            autotune: Some(Scaling { max_workers: 3, scale_up_misses: 1 }),
+            scheduler: Some(SchedulerConfig { injector_capacity: 1, ..SchedulerConfig::default() }),
         };
         let sched = Arc::new(Scheduler::spawn(
             &config,
@@ -980,8 +837,8 @@ mod tests {
             std::thread::yield_now();
         }
         let peak = cost.recorder().gauge(telemetry::Gauge::SwitchlessWorkersPeak);
-        assert!(peak <= config.max_workers as u64, "peak {peak} beyond max");
-        assert!(sched.stats().untrusted.workers <= config.max_workers);
+        assert!(peak <= config.max_workers() as u64, "peak {peak} beyond max");
+        assert!(sched.stats().untrusted.workers <= config.max_workers());
 
         for _ in 0..16 {
             let _ = release_tx.send(());
@@ -1013,8 +870,7 @@ mod tests {
     fn empty_deque_steals_oldest_from_sibling_before_injector() {
         let cost = model();
         let config = sched_config(SchedulerConfig::default(), 2).normalized();
-        let sched_cfg = config.scheduler.clone().unwrap();
-        let side = Arc::new(SchedSide::new(Side::Trusted, &config, &sched_cfg));
+        let side = Arc::new(SchedSide::new(Side::Trusted, &config));
         let (first, _rx1) = task_for(&side, 1);
         let (second, _rx2) = task_for(&side, 2);
         side.slots[1].deque.lock().push_back(Arc::clone(&first));
@@ -1044,28 +900,25 @@ mod tests {
         assert!(next_task(&side, 0, &cost).is_none());
     }
 
-    /// White-box injector grab: one visit takes up to `steal_target`
+    /// White-box injector grab: one visit takes up to [`STEAL_BATCH`]
     /// tasks, serves the first and parks the surplus on the grabbing
     /// executor's own deque — where a sibling can steal it.
     #[test]
     fn injector_grab_parks_surplus_on_own_deque() {
         let cost = model();
-        let config =
-            sched_config(SchedulerConfig { steal_batch: 2, ..SchedulerConfig::default() }, 2)
-                .normalized();
-        let sched_cfg = config.scheduler.clone().unwrap();
-        let side = Arc::new(SchedSide::new(Side::Trusted, &config, &sched_cfg));
-        let tasks: Vec<_> = (0..3).map(|i| task_for(&side, i).0).collect();
+        let config = sched_config(SchedulerConfig::default(), 2).normalized();
+        let side = Arc::new(SchedSide::new(Side::Trusted, &config));
+        let tasks: Vec<_> = (0..STEAL_BATCH as u32 + 1).map(|i| task_for(&side, i).0).collect();
         for t in &tasks {
             side.injector.lock().push_back(Arc::clone(t));
         }
 
         let got = next_task(&side, 0, &cost).expect("grab returns the first task");
         assert!(Arc::ptr_eq(&got, &tasks[0]));
-        assert_eq!(side.injector.lock().len(), 1, "grab bounded by steal_batch");
-        assert_eq!(side.slots[0].deque.lock().len(), 1, "surplus parked locally");
+        assert_eq!(side.injector.lock().len(), 1, "grab bounded by STEAL_BATCH");
+        assert_eq!(side.slots[0].deque.lock().len(), STEAL_BATCH - 1, "surplus parked locally");
         let snap = cost.recorder().snapshot();
-        assert_eq!(snap.hist(telemetry::Hist::SwitchlessBatchJobs).sum, 2);
+        assert_eq!(snap.hist(telemetry::Hist::SwitchlessBatchJobs).sum, STEAL_BATCH as u64);
 
         // The parked surplus is a steal target for slot 1.
         let got = next_task(&side, 1, &cost).expect("sibling steals the surplus");
@@ -1082,11 +935,7 @@ mod tests {
         let entered = Arc::new(AtomicUsize::new(0));
         let (release_tx, release_rx) = bounded::<()>(16);
         let config = sched_config(
-            SchedulerConfig {
-                injector_capacity: 1,
-                task_timeout: Duration::from_secs(30),
-                ..SchedulerConfig::default()
-            },
+            SchedulerConfig { injector_capacity: 1, task_timeout: Duration::from_secs(30) },
             1,
         );
         let sched = Arc::new(Scheduler::spawn(
@@ -1336,7 +1185,6 @@ mod tests {
         fn interleavings_never_lose_or_duplicate_a_task(
             executors in 1usize..4,
             capacity in 1usize..9,
-            steal_batch in 1usize..5,
             timeout_ms in 1u64..12,
             service_us in proptest::collection::vec(0u64..2_500, 4..32),
         ) {
@@ -1359,7 +1207,6 @@ mod tests {
             let config = sched_config(
                 SchedulerConfig {
                     injector_capacity: capacity,
-                    steal_batch,
                     task_timeout: Duration::from_millis(timeout_ms),
                 },
                 executors,

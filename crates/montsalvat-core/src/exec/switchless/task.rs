@@ -75,7 +75,7 @@ pub(crate) struct ServeTask {
     /// `(model_ns, wall_ns)` at post time when tracing was on, for the
     /// cat-`queue` task-wait span; `None` when the post was untraced.
     pub posted: Option<(u64, u64)>,
-    /// Model time at post, for `rmi.sched_task_wait_ns` and the tuner.
+    /// Model time at post, for `rmi.sched_task_wait_ns`.
     pub posted_model_ns: u64,
     claim: AtomicU8,
     stage: AtomicU8,

@@ -1,14 +1,13 @@
-//! Tests for the *adaptive* switchless scheduler: bounded-injector
-//! classic fallback, miss-driven scaling, and the executor-count
-//! invariants.
+//! Tests for the switchless scheduler's executor sizing: bounded-
+//! injector classic fallback, miss-driven scaling, fixed pools, and
+//! the executor-count invariants.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use montsalvat_core::annotation::Side;
 use montsalvat_core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat_core::exec::switchless::tuner::TunerConfig;
-use montsalvat_core::exec::switchless::{SchedulerConfig, SwitchlessConfig, SPIN_BUDGET};
+use montsalvat_core::exec::switchless::{Scaling, SchedulerConfig, SwitchlessConfig, SPIN_BUDGET};
 use montsalvat_core::image_builder::{build_partitioned_images, ImageOptions};
 use montsalvat_core::samples::bank_program;
 use montsalvat_core::transform::transform;
@@ -50,15 +49,16 @@ fn run_bank(app: &PartitionedApp) -> Value {
 }
 
 /// Injector bounds for the saturation tests: `capacity` slots per
-/// side, one task per grab.
+/// side.
 fn injector(capacity: usize) -> Option<SchedulerConfig> {
-    Some(SchedulerConfig { injector_capacity: capacity, steal_batch: 1, ..Default::default() })
+    Some(SchedulerConfig { injector_capacity: capacity, ..Default::default() })
 }
 
 /// A single executor behind a one-slot injector, saturated by
 /// concurrent callers: some posts must find the injector full, fall
 /// back to classic crossings (real transitions), and be counted as
-/// fallbacks — while every call still returns the right answer.
+/// fallbacks — while every call still returns the right answer. The
+/// pool is fixed: the miss pressure never grows it.
 #[test]
 fn saturating_one_worker_falls_back_to_classic_and_counts_it() {
     let app =
@@ -93,18 +93,20 @@ fn saturating_one_worker_falls_back_to_classic_and_counts_it() {
     assert_eq!(snap.counter(telemetry::Counter::SwitchlessFallbacks), world.switchless_fallbacks);
     assert_eq!(snap.counter(telemetry::Counter::SwitchlessCalls), world.switchless_calls);
     assert!(snap.counter(telemetry::Counter::SwitchlessMisses) >= world.switchless_fallbacks);
+    assert_eq!(snap.counter(telemetry::Counter::SwitchlessScaleUps), 0, "a fixed pool never grows");
+    assert_eq!(snap.gauge(telemetry::Gauge::SwitchlessWorkersPeak), 1);
 }
 
 /// Adaptive scaling under real load: executor wakes and (under
-/// pressure) scale-ups are visible in telemetry, and the queue-depth
-/// gauge never reports beyond the configured injector capacity.
+/// pressure) scale-ups are visible in telemetry, the queue-depth gauge
+/// never reports beyond the configured injector capacity, and with no
+/// tracer attached every hit still records its task wait.
 #[test]
 fn adaptive_engine_reports_wakes_and_bounded_queue_depth() {
     let capacity = 4;
     let config = SwitchlessConfig {
         min_workers: 1,
-        max_workers: 4,
-        scale_up_misses: 2,
+        autotune: Some(Scaling { max_workers: 4, scale_up_misses: 2 }),
         scheduler: injector(capacity),
         ..SwitchlessConfig::default()
     };
@@ -130,37 +132,35 @@ fn adaptive_engine_reports_wakes_and_bounded_queue_depth() {
     );
     let peak_workers = snap.gauge(telemetry::Gauge::SwitchlessWorkersPeak);
     assert!(
-        (config.min_workers as u64..=config.max_workers as u64).contains(&peak_workers),
+        (config.min_workers as u64..=config.max_workers() as u64).contains(&peak_workers),
         "worker peak {peak_workers} outside configured bounds"
+    );
+    let hits = snap.counter(telemetry::Counter::SwitchlessCalls);
+    assert!(hits > 0);
+    assert_eq!(
+        snap.hist(telemetry::Hist::SchedTaskWaitNs).count,
+        hits,
+        "task waits are recorded without a tracer"
     );
 }
 
-/// Regression: the crossing accounting must survive the tuner actively
-/// resizing the executor pool. An aggressively-configured trace-driven
-/// tuner (tick every 2 posts, act on 1 sample, grow on any wait above
-/// ~1% of a crossing) with the miss counter effectively disabled is
-/// driven until it records decisions — then every crossing must still
-/// be exactly one hit or one fallback, the task-wait histogram and the
-/// `task-wait:` spans must each hold exactly one entry per hit (every
-/// post was traced), and the executor count must stay inside its
-/// configured bounds throughout.
+/// Regression: the crossing accounting must survive miss-driven
+/// scaling actively resizing the executor pool. A pool that grows on
+/// every miss and retires after a 5 ms idle park is driven until it
+/// records a scale-up — then every crossing must still be exactly one
+/// hit or one fallback, the task-wait histogram and the `task-wait:`
+/// spans must each hold exactly one entry per hit (every post was
+/// traced), and the executor count must stay inside its configured
+/// bounds throughout.
 #[test]
-fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
+fn miss_driven_resizing_preserves_crossing_and_queue_wait_accounting() {
     let tracer = telemetry::trace::Tracer::new();
     tracer.enable_with_capacity(1 << 20);
     let config = SwitchlessConfig {
         min_workers: 1,
-        max_workers: 4,
-        scheduler: injector(2),
-        // Park the miss counter so observed scaling is the tuner's.
-        scale_up_misses: 1_000_000,
         idle_park: Duration::from_millis(5),
-        autotune: Some(TunerConfig {
-            interval_calls: 2,
-            min_samples: 1,
-            up_wait_pct: 1,
-            ..TunerConfig::default()
-        }),
+        autotune: Some(Scaling { max_workers: 4, scale_up_misses: 1 }),
+        scheduler: injector(2),
     };
     let tp = transform(&bank_program());
     let options = ImageOptions::with_entry_points(entries());
@@ -173,7 +173,7 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
     };
     let app = Arc::new(PartitionedApp::launch(&t, &u, app_config).unwrap());
 
-    // Drive concurrent load until the tuner has demonstrably acted,
+    // Drive concurrent load until the pool has demonstrably grown,
     // sampling the worker-count invariant the whole time.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -190,7 +190,7 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
             let stats = app.switchless_stats().unwrap();
             for side in [stats.trusted, stats.untrusted] {
                 assert!(side.workers >= config.min_workers, "below min: {stats:?}");
-                assert!(side.workers <= config.max_workers, "above max: {stats:?}");
+                assert!(side.workers <= config.max_workers(), "above max: {stats:?}");
             }
             std::thread::yield_now();
         }
@@ -198,21 +198,21 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
             h.join().unwrap();
         }
         let snap = app.telemetry_snapshot();
-        if snap.counter(telemetry::Counter::SwitchlessTuneUps) > 0 {
+        if snap.counter(telemetry::Counter::SwitchlessScaleUps) > 0 {
             break;
         }
-        assert!(Instant::now() < deadline, "tuner never recorded a decision: {snap:?}");
+        assert!(Instant::now() < deadline, "the pool never scaled up: {snap:?}");
     }
 
     let snap = app.telemetry_snapshot();
     // Every crossing is exactly one of: switchless hit, classic
-    // fallback — per calling world, tuner or no tuner.
+    // fallback — per calling world, while the pool resizes.
     for side in [Side::Trusted, Side::Untrusted] {
         let world = app.world_stats(side);
         assert_eq!(
             world.rmi_calls,
             world.switchless_calls + world.switchless_fallbacks,
-            "{side}: crossing accounting broke under tuner resizing"
+            "{side}: crossing accounting broke under resizing"
         );
     }
     // Task-wait reconciliation: the tracer was on for every post, so
@@ -233,13 +233,8 @@ fn tuner_resizing_preserves_crossing_and_queue_wait_accounting() {
         .filter(|e| e.ph == 'B' && e.cat == "queue" && e.name.starts_with("task-wait:"))
         .count() as u64;
     assert_eq!(wait_spans, hits, "one task-wait span per traced switchless hit");
-    // The decisions are visible downstream: counters and the
-    // last-value batch gauge stay within the tuner's bounds.
-    let target = snap.gauge(telemetry::Gauge::SwitchlessTargetBatch);
-    let limit = TunerConfig::default().batch_limit as u64;
-    assert!((1..=limit).contains(&target), "batch target {target} outside [1, {limit}]");
     let peak = snap.gauge(telemetry::Gauge::SwitchlessWorkersPeak);
-    assert!(peak <= config.max_workers as u64, "worker peak {peak} beyond max");
+    assert!(peak <= config.max_workers() as u64, "worker peak {peak} beyond max");
 }
 
 /// No lost wake-up across the spin/park boundary: one caller crosses
@@ -315,21 +310,22 @@ proptest! {
     /// Whatever the configuration and load, the live executor count of
     /// each side never exceeds `max_workers` nor drops below
     /// `min_workers` — sampled continuously while callers hammer the
-    /// scheduler, and after the load drains.
+    /// scheduler, and after the load drains. A fixed pool (`autotune:
+    /// None`) stays at exactly `min_workers` and never scales up.
     #[test]
     fn worker_count_stays_within_configured_bounds(
         min_workers in 1usize..3,
         extra in 0usize..3,
         injector_capacity in 1usize..5,
         callers in 2usize..5,
+        fixed in any::<bool>(),
     ) {
+        let scaling = Scaling { max_workers: min_workers + extra, scale_up_misses: 1 };
         let config = SwitchlessConfig {
             min_workers,
-            max_workers: min_workers + extra,
-            scheduler: injector(injector_capacity),
-            scale_up_misses: 1,
             idle_park: Duration::from_millis(5),
-            ..SwitchlessConfig::default()
+            autotune: (!fixed).then_some(scaling),
+            scheduler: injector(injector_capacity),
         };
         let app = Arc::new(launch(config.clone()));
         let mut handles = Vec::new();
@@ -346,12 +342,19 @@ proptest! {
             let stats = app.switchless_stats().unwrap();
             for side in [stats.trusted, stats.untrusted] {
                 prop_assert!(side.workers >= config.min_workers, "below min: {stats:?}");
-                prop_assert!(side.workers <= config.max_workers, "above max: {stats:?}");
+                prop_assert!(side.workers <= config.max_workers(), "above max: {stats:?}");
+                if fixed {
+                    prop_assert_eq!(side.workers, min_workers, "a fixed pool moved: {:?}", stats);
+                }
             }
             std::thread::yield_now();
         }
         for h in handles {
             h.join().unwrap();
+        }
+        if fixed {
+            let snap = app.telemetry_snapshot();
+            prop_assert_eq!(snap.counter(telemetry::Counter::SwitchlessScaleUps), 0);
         }
         // After the load drains, scale-down must converge back to
         // exactly `min_workers` — and no further.

@@ -27,7 +27,7 @@
 //!
 //! let snap = recorder.snapshot();
 //! assert_eq!(snap.counter(Counter::Ecalls), 1);
-//! assert!(snap.to_json().contains("montsalvat.telemetry/v2"));
+//! assert!(snap.to_json().contains("montsalvat.telemetry/v3"));
 //! ```
 //!
 //! Aggregates answer *how much*; the [`trace`] module answers *which
@@ -58,7 +58,11 @@ pub use snapshot::{extract_counter, Snapshot};
 ///
 /// v2: histogram units now distinguish `model_ns` (cost-clock time)
 /// from `wall_ns` (host time); previously both exported as `ns`.
-pub const SCHEMA: &str = "montsalvat.telemetry/v2";
+/// v3: drops `rmi.switchless_queue_wait_ns` (superseded by
+/// `rmi.sched_task_wait_ns`) and the switchless tuner's
+/// `rmi.switchless_tune_ups`, `rmi.switchless_tune_downs` and
+/// `rmi.switchless_target_batch`.
+pub const SCHEMA: &str = "montsalvat.telemetry/v3";
 
 macro_rules! metric_enum {
     (
@@ -151,12 +155,6 @@ metric_enum! {
         SwitchlessScaleUps => ("rmi.switchless_scale_ups", "events"),
         /// Adaptive scale-down events (an idle worker retired).
         SwitchlessScaleDowns => ("rmi.switchless_scale_downs", "events"),
-        /// Trace-driven tuner decisions that grew capacity (worker
-        /// target raised or batch bound raised).
-        SwitchlessTuneUps => ("rmi.switchless_tune_ups", "events"),
-        /// Trace-driven tuner decisions that shrank capacity (worker
-        /// target lowered or batch bound lowered).
-        SwitchlessTuneDowns => ("rmi.switchless_tune_downs", "events"),
         /// Payload bytes serialized for cross-world messages.
         BytesSerialized => ("rmi.bytes_serialized", "bytes"),
         /// Bytes produced by the value codec when encoding.
@@ -235,10 +233,6 @@ metric_enum! {
         /// Peak queued tasks observed on one side of the switchless
         /// scheduler (injector plus local deques).
         SwitchlessQueueDepthPeak => ("rmi.switchless_queue_depth_peak", "jobs"),
-        /// Most recent injector grab bound chosen by the tuner
-        /// (last-value, via [`Recorder::gauge_set`]; equals the
-        /// configured `steal_batch` until the tuner changes it).
-        SwitchlessTargetBatch => ("rmi.switchless_target_batch", "jobs"),
         /// Current EPC-resident bytes committed by an enclave
         /// (last-value, via [`Recorder::gauge_set`]; the per-window
         /// level behind [`EpcResidentPeak`](Gauge::EpcResidentPeak)).
@@ -315,7 +309,7 @@ metric_enum! {
         TrafficServiceNs => ("traffic.service_ns", "model_ns"),
         /// Model nanoseconds a scheduler task waited between post and
         /// executor claim (queue wait, excluded from execution time;
-        /// recorded even with tracing off, so the tuner stays live).
+        /// recorded even with tracing off).
         SchedTaskWaitNs => ("rmi.sched_task_wait_ns", "model_ns"),
     }
 }

@@ -81,8 +81,8 @@ impl Recorder {
     }
 
     /// Overwrites a gauge with `value` (last-value semantics, for
-    /// gauges that track a current setting rather than a peak — e.g.
-    /// [`Gauge::SwitchlessTargetBatch`]).
+    /// gauges that track a current level rather than a peak — e.g.
+    /// [`Gauge::SwitchlessWorkers`]).
     pub fn gauge_set(&self, gauge: Gauge, value: u64) {
         self.gauges[gauge as usize].store(value, Ordering::Relaxed);
     }
@@ -215,9 +215,9 @@ mod tests {
     #[test]
     fn gauge_set_overwrites_rather_than_maxing() {
         let r = Recorder::new();
-        r.gauge_set(Gauge::SwitchlessTargetBatch, 8);
-        r.gauge_set(Gauge::SwitchlessTargetBatch, 2);
-        assert_eq!(r.gauge(Gauge::SwitchlessTargetBatch), 2);
+        r.gauge_set(Gauge::SwitchlessWorkers, 8);
+        r.gauge_set(Gauge::SwitchlessWorkers, 2);
+        assert_eq!(r.gauge(Gauge::SwitchlessWorkers), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! [`Counter::TimeseriesDropped`].
 //!
 //! The export is the versioned, line-oriented JSON document
-//! [`SCHEMA`] (`montsalvat.timeseries/v1`, one window per line so
+//! [`SCHEMA`] (`montsalvat.timeseries/v2`, one window per line so
 //! grep and [`parse_timeseries`] both work), plus a
 //! Prometheus-style text exposition for external scrapers
 //! ([`Series::to_prometheus`]).
@@ -40,7 +40,11 @@ use crate::{Counter, Gauge, Hist, Recorder, Snapshot};
 ///
 /// Versioned like the telemetry schema: field *additions* keep the
 /// version; renames, removals, or unit changes bump it.
-pub const SCHEMA: &str = "montsalvat.timeseries/v1";
+///
+/// v2: window lines no longer carry the switchless tuner's
+/// `rmi.switchless_tune_ups`, `rmi.switchless_tune_downs` and
+/// `rmi.switchless_target_batch`.
+pub const SCHEMA: &str = "montsalvat.timeseries/v2";
 
 /// Default window width: 1 ms of model time.
 pub const DEFAULT_WINDOW_NS: u64 = 1_000_000;
@@ -505,7 +509,7 @@ pub struct WindowView {
     pub epc_faults: u64,
     /// Switchless posts that fell back to classic crossings.
     pub fallbacks: u64,
-    /// Executor-pool churn: scale-ups/downs plus tuner decisions.
+    /// Executor-pool churn: scale-ups plus scale-downs.
     pub scale_events: u64,
     /// Switchless queue depth (tasks posted, not yet claimed) observed
     /// at window close.
@@ -535,9 +539,7 @@ impl WindowView {
             epc_faults: d.counter(Counter::EpcFaults),
             fallbacks: d.counter(Counter::SwitchlessFallbacks),
             scale_events: d.counter(Counter::SwitchlessScaleUps)
-                + d.counter(Counter::SwitchlessScaleDowns)
-                + d.counter(Counter::SwitchlessTuneUps)
-                + d.counter(Counter::SwitchlessTuneDowns),
+                + d.counter(Counter::SwitchlessScaleDowns),
             queue_depth: d.gauge(Gauge::SwitchlessQueueDepth),
             workers: d.gauge(Gauge::SwitchlessWorkers),
             sched_inflight: d.gauge(Gauge::SchedInflight),
@@ -560,9 +562,7 @@ impl WindowView {
             epc_faults: w.counter("sgx.epc_faults"),
             fallbacks: w.counter("rmi.switchless_fallbacks"),
             scale_events: w.counter("rmi.switchless_scale_ups")
-                + w.counter("rmi.switchless_scale_downs")
-                + w.counter("rmi.switchless_tune_ups")
-                + w.counter("rmi.switchless_tune_downs"),
+                + w.counter("rmi.switchless_scale_downs"),
             queue_depth: w.gauge("rmi.switchless_queue_depth"),
             workers: w.gauge("rmi.switchless_workers"),
             sched_inflight: w.gauge("rmi.sched_inflight"),

@@ -182,7 +182,7 @@ fn main() -> ExitCode {
                 "                                  re-annotation plan (docs/PARTITIONING.md)"
             );
             eprintln!("  timeline <timeseries.json> [--k <factor>]");
-            eprintln!("                                  render a montsalvat.timeseries/v1");
+            eprintln!("                                  render a montsalvat.timeseries/v2");
             eprintln!("                                  export as aligned per-window");
             eprintln!("                                  timelines and attribute latency");
             eprintln!("                                  spikes (> k x median p95) to");
@@ -328,7 +328,7 @@ fn run_trace_report(input: &str, top: usize) -> Result<String, String> {
     Ok(render_trace_report(&trace, top))
 }
 
-/// Reads a `montsalvat.timeseries/v1` export and renders the aligned
+/// Reads a `montsalvat.timeseries/v2` export and renders the aligned
 /// per-window timeline plus the spike report.
 fn run_timeline(input: &str, k: f64) -> Result<String, String> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("reading {input}: {e}"))?;
@@ -708,37 +708,6 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
         );
     }
 
-    // Tuner decisions: the switchless controller emits one zero-width
-    // cat-"queue" mark per applied decision, named
-    // `tune:<side> <reason> workers=<n> batch=<n> p95=<ns>ns`.
-    // Group by side + reason so the report shows which branch of the
-    // control law drove the run.
-    let tunes: Vec<&ReportSpan> =
-        spans.iter().filter(|s| s.cat == "queue" && s.name.starts_with("tune:")).collect();
-    if !tunes.is_empty() {
-        let mut by_kind: HashMap<String, u64> = HashMap::new();
-        for s in &tunes {
-            let kind = s
-                .name
-                .trim_start_matches("tune:")
-                .split_whitespace()
-                .take(2)
-                .collect::<Vec<_>>()
-                .join(" ");
-            *by_kind.entry(kind).or_default() += 1;
-        }
-        let mut by_kind: Vec<_> = by_kind.into_iter().collect();
-        by_kind.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let _ = writeln!(out, "\n-- switchless tuner decisions --");
-        let _ = writeln!(out, "{} decisions applied", tunes.len());
-        for (kind, count) in &by_kind {
-            let _ = writeln!(out, "{kind:<28} {count:>6}");
-        }
-        if let Some(last) = tunes.iter().max_by_key(|s| s.begin_ns) {
-            let _ = writeln!(out, "last: {}", last.name);
-        }
-    }
-
     // Work-stealing scheduler evidence: each task served off the
     // injector/deques opens one cat-"queue" span
     // `task-wait:<Class>.<relay>` covering post → pickup, and the
@@ -767,7 +736,7 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
                 out,
                 "WARN: {sched_timeouts} task timeout(s) swept to classic fallback — the \
                  executor pool could not keep up with posted crossings; check the \
-                 queue-pressure and tuner evidence above"
+                 task waits above"
             );
         }
     }
@@ -1052,7 +1021,7 @@ mod tests {
         let path = dir.join("timeseries.json");
         std::fs::write(&path, series.to_json()).unwrap();
         let report = run_timeline(path.to_str().unwrap(), 4.0).expect("timeline renders");
-        assert!(report.contains("montsalvat.timeseries/v1"), "{report}");
+        assert!(report.contains(montsalvat::telemetry::timeseries::SCHEMA), "{report}");
         assert!(report.contains("5 window(s)"), "{report}");
         assert!(report.contains("<- SPIKE"), "{report}");
         assert!(report.contains("gc (high confidence)"), "{report}");
@@ -1083,7 +1052,7 @@ mod tests {
         let path = dir.join("not-a-series.json");
         std::fs::write(&path, "{\"schema\": \"something.else/v9\"}\n").unwrap();
         let err = run_timeline(path.to_str().unwrap(), 4.0).unwrap_err();
-        assert!(err.contains("montsalvat.timeseries/v1"), "{err}");
+        assert!(err.contains(montsalvat::telemetry::timeseries::SCHEMA), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1147,29 +1116,5 @@ mod tests {
         assert!(report.contains("WARN: 3 scheduler task timeout(s)"), "{report}");
         assert!(report.contains("infl"), "{report}");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn trace_report_summarises_tuner_decisions() {
-        use montsalvat::telemetry::trace::{parse_chrome_trace, Lane, Tracer};
-        let tracer = Tracer::new();
-        tracer.enable_with_capacity(64);
-        for (i, mark) in [
-            "tune:trusted queue-pressure workers=2 batch=4 p95=90000ns",
-            "tune:trusted queue-pressure workers=3 batch=4 p95=91000ns",
-            "tune:trusted idle-waits workers=2 batch=4 p95=1000ns",
-        ]
-        .iter()
-        .enumerate()
-        {
-            let at = 1_000 * (i as u64 + 1);
-            tracer.span_at(Lane::Trusted, "queue", None, at, at, at, || (*mark).to_owned());
-        }
-        let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
-        let report = render_trace_report(&parsed, 3);
-        assert!(report.contains("switchless tuner decisions"), "{report}");
-        assert!(report.contains("3 decisions applied"), "{report}");
-        assert!(report.contains("trusted queue-pressure") && report.contains("2"), "{report}");
-        assert!(report.contains("last: tune:trusted idle-waits"), "{report}");
     }
 }
