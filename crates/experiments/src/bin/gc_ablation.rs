@@ -1,5 +1,5 @@
 //! Ablation: the semispace stop-and-copy reference collector vs the
-//! segmented generational block heap (`MONTSALVAT_GC`, see
+//! segmented generational block heap (`AppConfig::collector`, see
 //! `docs/GC.md`) on the two GC shapes of the evaluation:
 //!
 //! - **heap-churn**: a standing live set larger than usable EPC plus a

@@ -298,7 +298,7 @@ fn verify_workload(
     let trace = telemetry::trace::parse_chrome_trace(&trace_json).expect("trace parses");
     let plan = advise_with_classes(&trace, &params, cfg, &baseline_program.classes);
     let trace_moves =
-        advise(&trace, &CostParams::from_env(), &AdvisorConfig::default()).moves().count();
+        advise(&trace, &CostParams::paper_defaults(), &AdvisorConfig::default()).moves().count();
     print!("{}", plan.render_table());
 
     // Apply the moves and re-run the identical driver.
@@ -346,7 +346,7 @@ fn main() {
         "partition advisor loop: {records} kvstore records, {batches} graphchi batches x \
          {batch_len} edges (model time, ClockMode::Virtual)"
     );
-    print_params(&CostParams::from_env());
+    print_params(&CostParams::paper_defaults());
 
     let results = [
         verify_workload("kvstore", kvstore_program, records, batches, batch_len, &cfg),

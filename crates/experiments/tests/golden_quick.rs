@@ -6,7 +6,10 @@
 //! longer, nested directory, where the apps' working directories land,
 //! so a charge that depended on a path's location would show; and a
 //! busy loop competes for the CPU meanwhile, so host speed leaking into
-//! a figure would show too.
+//! a figure would show too. The bins also run with environment
+//! variables that once selected a provider, a collector, a serde mode,
+//! the buffer pool, tracing and a cost parameter: nothing in the
+//! environment may move a figure.
 //!
 //! After an intended change to a figure, regenerate its file with
 //! `cargo run --release -p experiments --bin <bin> -- --quick > results/quick/<bin>.txt`.
@@ -27,6 +30,17 @@ const BINS: [(&str, &str); 10] = [
     ("fig11", env!("CARGO_BIN_EXE_fig11")),
     ("fig12", env!("CARGO_BIN_EXE_fig12")),
     ("table1", env!("CARGO_BIN_EXE_table1")),
+];
+
+/// Variables that once changed a run from the environment, each set
+/// to a non-default value.
+const FORMER_KNOBS: [(&str, &str); 6] = [
+    ("MONTSALVAT_PROVIDER", "passthrough"),
+    ("MONTSALVAT_GC", "block"),
+    ("MONTSALVAT_SERDE_FASTPATH", "0"),
+    ("MONTSALVAT_SERDE_POOL", "0"),
+    ("MONTSALVAT_TRACE", "1"),
+    ("MONTSALVAT_RELAY_OVERHEAD_NS", "1"),
 ];
 
 /// The first line where `got` and `want` differ, for the failure message.
@@ -68,6 +82,7 @@ fn quick_outputs_match_the_committed_golden_files() {
             let child = Command::new(exe)
                 .arg("--quick")
                 .env("TMPDIR", &tmpdir)
+                .envs(FORMER_KNOBS)
                 .stdout(Stdio::piped())
                 .spawn()
                 .unwrap_or_else(|e| panic!("spawn {name}: {e}"));

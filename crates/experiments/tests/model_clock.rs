@@ -1,6 +1,6 @@
 //! The model clock is a pure function of the workload: neither where an
-//! application's files live nor how long a kernel takes on the host
-//! reaches a charge.
+//! application's files live, nor how long a kernel takes on the host,
+//! nor whether a tracer rides along reaches a charge.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -14,8 +14,10 @@ use montsalvat_core::exec::world::ExecModel;
 use montsalvat_core::image_builder::{
     build_partitioned_images, build_unpartitioned_image, ImageOptions,
 };
+use montsalvat_core::samples::bank_program;
 use montsalvat_core::transform::transform;
 use runtime_sim::value::Value;
+use telemetry::trace::Tracer;
 
 /// Charged time of one partitioned shard + PageRank run whose app works
 /// in `workdir`, naming its graph relative to it.
@@ -108,4 +110,36 @@ fn a_sleeping_kernel_charges_exactly_what_a_quick_one_does() {
     assert_eq!(sleeping, quick, "host time must not reach the model clock");
     // 10⁶ units × 3 ns × JVM 1.35 × MEE 1.8, plus first touch and the call.
     assert!(quick >= Duration::from_nanos(7_290_000), "charged {quick:?}");
+}
+
+/// Charged time of one classic (non-switchless) partitioned bank run,
+/// launch included, with a tracer that is on or off; plus the number
+/// of events it captured.
+fn bank_run_charge(traced: bool) -> (Duration, usize) {
+    let tp = transform(&bank_program());
+    let options = ImageOptions::default();
+    let (trusted, untrusted) = build_partitioned_images(&tp, &options, &options).unwrap();
+    let tracer = Tracer::new();
+    if traced {
+        tracer.enable();
+    }
+    let config = AppConfig {
+        gc_helper_interval: None,
+        trace: Some(Arc::clone(&tracer)),
+        ..AppConfig::default()
+    };
+    let app = PartitionedApp::launch(&trusted, &untrusted, config).unwrap();
+    app.run_main().unwrap();
+    let charged = app.shared.cost.charged();
+    app.shutdown();
+    (charged, tracer.event_count())
+}
+
+#[test]
+fn tracing_does_not_change_charged_time() {
+    let (untraced, no_events) = bank_run_charge(false);
+    let (traced, events) = bank_run_charge(true);
+    assert_eq!(no_events, 0);
+    assert!(events > 0, "the traced run captured its crossings");
+    assert_eq!(traced, untraced, "trace contexts ride along unbilled");
 }

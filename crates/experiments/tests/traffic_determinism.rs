@@ -71,8 +71,8 @@ fn gated_lane_timeseries_exports_are_byte_identical_across_runs() {
     let _ = run_lane(gated, &cfg).expect("warm-up run");
     let a = run_lane(gated, &cfg).expect("first run");
     let b = run_lane(gated, &cfg).expect("second run");
-    let a = a.timeseries.expect("flight recorder on by default");
-    let b = b.timeseries.expect("flight recorder on by default");
+    let a = a.timeseries;
+    let b = b.timeseries;
     assert!(!a.windows.is_empty(), "the run spans at least one window");
     assert_eq!(a.dropped, 0, "the tiny run fits the default ring");
     assert_eq!(
@@ -150,7 +150,7 @@ fn scheduler_lane_pins_checksums_and_reconciles_crossings() {
 fn gc_gauges_and_counters_reconcile_with_flight_recorder_windows() {
     let cfg = churny(CollectorKind::Block);
     let lane = run_lane(lanes()[0], &cfg).expect("block-collector lane runs");
-    let series = lane.timeseries.as_ref().expect("flight recorder on by default");
+    let series = &lane.timeseries;
     assert!(lane.snap.counter(Counter::GcMinorCollections) > 0, "churn drives minors");
     assert!(lane.snap.counter(Counter::GcMajorCollections) > 0, "churn escalates to majors");
 

@@ -12,7 +12,7 @@
 //! (same placement, JVM execution model).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,24 +72,17 @@ pub struct AppConfig {
     pub trace: Option<Arc<telemetry::trace::Tracer>>,
     /// Whether boundary crossings use the wire-format-v2 serde fast
     /// path (shape-cached interned hints, pooled buffers, bulk
-    /// primitive encoding — see `docs/SERDE.md`). `None` reads
-    /// `MONTSALVAT_SERDE_FASTPATH` at launch (default: enabled);
-    /// `Some(_)` pins the mode regardless of the environment. The
-    /// running application can be re-toggled through
-    /// [`AppShared::set_serde_fastpath`].
+    /// primitive encoding — see `docs/SERDE.md`). Fixed at launch;
+    /// `None` means the fast path.
     pub serde_fastpath: Option<bool>,
     /// How the trusted world is realized (see [`crate::provider`]).
-    /// `None` consults `MONTSALVAT_PROVIDER` at launch and defaults to
-    /// [`ProviderKind::SimSgx`]; `Some(_)` pins the deployment mode
-    /// regardless of the environment.
+    /// `None` means [`ProviderKind::SimSgx`].
     pub provider: Option<ProviderKind>,
-    /// Which garbage collector each isolate runs. `None` consults
-    /// `MONTSALVAT_GC` at launch and falls back to
-    /// `heap_config.collector` (default semispace); `Some(_)` pins the
-    /// collector regardless of the environment — the same precedence
-    /// the provider detector uses. The block collector's geometry is
-    /// seeded from [`CostParams::gc_block_bytes`] so heap blocks and
-    /// EPC charging agree.
+    /// Which garbage collector each isolate runs. `None` means
+    /// `heap_config.collector` (default semispace). The block
+    /// collector's geometry is seeded from
+    /// [`CostParams::gc_block_bytes`] so heap blocks and EPC charging
+    /// agree.
     pub collector: Option<CollectorKind>,
 }
 
@@ -115,13 +108,12 @@ impl Default for AppConfig {
 }
 
 /// Resolves the heap configuration an app's isolates actually launch
-/// with: collector selection flows `AppConfig::collector` →
-/// `MONTSALVAT_GC` → `heap_config.collector`, and the block size is
-/// taken from the cost model (`CostParams::gc_block_bytes`) so the
-/// collector's blocks are the same granule the EPC charges per.
+/// with: `AppConfig::collector` if set, else `heap_config.collector`,
+/// and the block size is taken from the cost model
+/// (`CostParams::gc_block_bytes`) so the collector's blocks are the
+/// same granule the EPC charges per.
 fn effective_heap_config(config: &AppConfig) -> HeapConfig {
-    let collector =
-        config.collector.or_else(CollectorKind::from_env).unwrap_or(config.heap_config.collector);
+    let collector = config.collector.unwrap_or(config.heap_config.collector);
     HeapConfig {
         collector,
         block_bytes: config.cost_params.gc_block_bytes.max(1),
@@ -129,23 +121,14 @@ fn effective_heap_config(config: &AppConfig) -> HeapConfig {
     }
 }
 
-/// `MONTSALVAT_SERDE_FASTPATH=0|off|false` disables the v2 fast path
-/// process-wide; anything else (or unset) enables it.
-fn serde_fastpath_from_env() -> bool {
-    match std::env::var("MONTSALVAT_SERDE_FASTPATH") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
-}
-
 /// Per-application serde fast-path state: the class-name interner
 /// shared by both runtimes (modelling the per-peer tables each side
 /// builds from the `Named` hints it has seen), one shape cache per
 /// side (class ids are world-local, so the caches must not mix), and
-/// the run-time fast-path switch.
+/// the fast-path mode fixed at launch.
 #[derive(Debug)]
 pub(crate) struct SerdeState {
-    pub(crate) fastpath: AtomicBool,
+    fastpath: bool,
     pub(crate) names: rmi::NameInterner,
     shapes_trusted: rmi::ShapeCache,
     shapes_untrusted: rmi::ShapeCache,
@@ -154,9 +137,7 @@ pub(crate) struct SerdeState {
 impl SerdeState {
     fn new(config: &AppConfig) -> Self {
         SerdeState {
-            fastpath: AtomicBool::new(
-                config.serde_fastpath.unwrap_or_else(serde_fastpath_from_env),
-            ),
+            fastpath: config.serde_fastpath.unwrap_or(true),
             names: rmi::NameInterner::new(),
             shapes_trusted: rmi::ShapeCache::new(),
             shapes_untrusted: rmi::ShapeCache::new(),
@@ -218,17 +199,10 @@ impl AppShared {
         }
     }
 
-    /// Whether crossings currently use the wire-format-v2 serde fast
-    /// path (see [`AppConfig::serde_fastpath`]).
+    /// Whether crossings use the wire-format-v2 serde fast path (see
+    /// [`AppConfig::serde_fastpath`]).
     pub fn serde_fastpath(&self) -> bool {
-        self.serde.fastpath.load(Ordering::Relaxed)
-    }
-
-    /// Switches the serde fast path on or off at run time. Both modes
-    /// decode either wire format, so in-flight messages are unaffected;
-    /// ablations use this to compare modes within one process.
-    pub fn set_serde_fastpath(&self, on: bool) {
-        self.serde.fastpath.store(on, Ordering::Relaxed);
+        self.serde.fastpath
     }
 
     /// Number of distinct class names interned by crossing hints so
@@ -378,7 +352,8 @@ impl PartitionedApp {
             &trusted_image.measurement_bytes(),
             Arc::clone(&cost),
         )?;
-        let provider = provider::build(provider::detect(config.provider), &enclave, &cost);
+        let provider =
+            provider::build(config.provider.unwrap_or(ProviderKind::SimSgx), &enclave, &cost);
         let shields = provider.shields_trusted_memory();
         if shields {
             // Commit the compiled trusted image + runtime to the EPC.
@@ -652,7 +627,8 @@ impl SingleWorldApp {
         let cost = cost_model(&config);
         let enclave =
             Enclave::create(&config.enclave_config, &image.measurement_bytes(), Arc::clone(&cost))?;
-        let provider = provider::build(provider::detect(config.provider), &enclave, &cost);
+        let provider =
+            provider::build(config.provider.unwrap_or(ProviderKind::SimSgx), &enclave, &cost);
         let in_enclave = placement == Placement::Enclave && provider.shields_trusted_memory();
         if in_enclave {
             enclave.alloc_heap(image.code_size_estimate())?;

@@ -462,6 +462,7 @@ fn compute_kernel(working_set_bytes: usize, passes: u32) -> (f64, u64) {
 /// hash reference in the payload, the codec-encoded payload, and — when
 /// tracing is on — the caller's trace context, so a request served on
 /// another thread (switchless) still parents under the caller's span.
+/// The trace context is not billed (see [`WireMsg::wire_len`]).
 ///
 /// The payload buffer is pooled ([`rmi::pool`]): steady-state crossings
 /// reuse encode capacity instead of allocating, and each hint carries a
@@ -476,29 +477,20 @@ pub(crate) struct WireMsg {
 }
 
 impl WireMsg {
-    /// Total bytes that cross the boundary for this message. A trace
-    /// context costs its wire bytes plus the presence flag; an untraced
-    /// v1 message is byte-identical to the pre-tracing format (a hint's
+    /// Total bytes that cross the boundary for this message (a hint's
     /// name costs 16 hash bytes plus its [`NameRef::wire_len`], which
-    /// for a full name matches the old `20 + len`).
+    /// for a full name matches the old `20 + len`). The trace context
+    /// is left out, so a traced run charges exactly what an untraced
+    /// one does.
     pub(crate) fn wire_len(&self) -> usize {
         17 + self.hints.iter().map(|(_, n)| 16 + n.wire_len()).sum::<usize>()
             + 4
             + self.payload.len()
-            + self.trace.map_or(0, |_| 1 + TraceContext::WIRE_LEN)
     }
 
     /// The caller's span as a parent for spans on the serving side.
     pub(crate) fn parent_span(&self) -> Option<SpanContext> {
         self.trace.map(|t| SpanContext { trace_id: t.trace_id, span_id: t.parent_span_id })
-    }
-
-    /// Wire bytes excluding the trace-context suffix. A traced batch
-    /// frame charges this as the payload length — the frame re-encodes
-    /// the context in its own per-payload slot (see
-    /// [`rmi::batch::traced_frame_len`]).
-    pub(crate) fn wire_len_sans_trace(&self) -> usize {
-        self.wire_len() - self.trace.map_or(0, |_| 1 + TraceContext::WIRE_LEN)
     }
 }
 

@@ -625,6 +625,14 @@ fn try_retire(state: &SchedSide, min: usize) -> bool {
     }
 }
 
+/// Wire bytes of one injector grab crossing as a single batch frame:
+/// a 6-byte header (2-byte magic, u32 payload count), then each
+/// payload behind a u32 length prefix. The frame is priced, never
+/// materialised.
+fn frame_len(wire_lens: impl Iterator<Item = usize>) -> usize {
+    6 + wire_lens.map(|len| 4 + len).sum::<usize>()
+}
+
 /// Finds the next task in steal order: own deque (newest first) →
 /// a sibling's deque (oldest first, charged as a steal) → an injector
 /// batch grab whose surplus lands on the own deque.
@@ -656,19 +664,9 @@ fn next_task(state: &Arc<SchedSide>, slot: usize, cost: &Arc<CostModel>) -> Opti
         return None;
     }
     // The whole grab crosses as one batch frame: one header, then
-    // each request's wire bytes (traced frames carry the context per
-    // payload).
-    let recorder = cost.recorder();
-    recorder.record(telemetry::Hist::SwitchlessBatchJobs, grabbed.len() as u64);
-    let tracer = cost.tracer();
-    let frame_bytes = if tracer.is_enabled() {
-        let payloads: Vec<(usize, bool)> =
-            grabbed.iter().map(|t| (t.msg.wire_len_sans_trace(), t.msg.trace.is_some())).collect();
-        rmi::batch::traced_frame_len(&payloads)
-    } else {
-        let wire_lens: Vec<usize> = grabbed.iter().map(|t| t.msg.wire_len()).collect();
-        rmi::batch::frame_len(&wire_lens)
-    };
+    // each request's length-prefixed wire bytes.
+    cost.recorder().record(telemetry::Hist::SwitchlessBatchJobs, grabbed.len() as u64);
+    let frame_bytes = frame_len(grabbed.iter().map(|t| t.msg.wire_len()));
     cost.charge_ns((frame_bytes as f64 * cost.params().copy_ns_per_byte) as u64);
     let first = grabbed.remove(0);
     if !grabbed.is_empty() {

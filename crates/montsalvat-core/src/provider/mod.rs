@@ -17,16 +17,12 @@
 //!   app/serde/scheduler overhead — everything Montsalvat adds that is
 //!   *not* SGX.
 //!
-//! Selection goes through [`detector::detect`]: an explicit
-//! [`crate::exec::app::AppConfig::provider`] wins, then the
-//! `MONTSALVAT_PROVIDER` environment variable, then the [`SimSgx`]
-//! default. See `docs/DEPLOYMENT.md` for the contract and knobs.
+//! [`crate::exec::app::AppConfig::provider`] selects one; `None` means
+//! [`SimSgx`]. See `docs/DEPLOYMENT.md` for the contract.
 
-pub mod detector;
 mod pass_through;
 mod sim_sgx;
 
-pub use detector::{detect, detect_from, parse_provider, PROVIDER_ENV};
 pub use pass_through::PassThrough;
 pub use sim_sgx::SimSgx;
 
@@ -47,7 +43,7 @@ pub enum ProviderKind {
 }
 
 impl ProviderKind {
-    /// The canonical name, accepted back by [`parse_provider`].
+    /// The canonical name.
     pub const fn name(self) -> &'static str {
         match self {
             ProviderKind::SimSgx => "sim-sgx",

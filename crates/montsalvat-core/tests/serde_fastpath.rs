@@ -185,22 +185,6 @@ fn class_names_cross_once_and_shapes_cache() {
 }
 
 #[test]
-fn mode_can_toggle_mid_run_and_both_wire_formats_decode() {
-    // One app serves v1 (classic) and v2 (fast) payloads back to back:
-    // the decoder sniffs the format per message.
-    let app = launch_bank(false, false);
-    assert_eq!(run_bank(&app), Value::Int(75));
-    app.shared.set_serde_fastpath(true);
-    assert_eq!(run_bank(&app), Value::Int(75));
-    app.shared.set_serde_fastpath(false);
-    assert_eq!(run_bank(&app), Value::Int(75));
-    let snap = app.telemetry_snapshot();
-    assert!(snap.counter(telemetry::Counter::SerdeFastPathHits) > 0);
-    assert!(snap.counter(telemetry::Counter::SerdeSlowPathHits) > 0);
-    app.shutdown();
-}
-
-#[test]
 fn fast_path_costs_less_model_time_on_bulk_payloads() {
     let charged = |fastpath: bool| {
         let app = launch_sink(fastpath);

@@ -41,12 +41,11 @@ use runtime_sim::value::{ClassId, ObjId, Value};
 
 use crate::hash::ProxyHash;
 
-/// The compact trace-context header an RMI message can carry across
-/// the boundary so a call entering the other runtime continues the
-/// caller's trace (see `telemetry::trace` and `docs/TRACING.md`).
-///
-/// Wire format: `trace_id` then `parent_span_id`, both u64
-/// little-endian — [`TraceContext::WIRE_LEN`] bytes total.
+/// The trace context an RMI message carries across the boundary so a
+/// call entering the other runtime continues the caller's trace (see
+/// `telemetry::trace` and `docs/TRACING.md`). It is instrumentation,
+/// not payload: crossings bill the untraced wire length, so enabling
+/// tracing leaves charged time unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The call tree the message belongs to.
@@ -54,32 +53,6 @@ pub struct TraceContext {
     /// The caller-side span the receiving side should parent its
     /// spans under.
     pub parent_span_id: u64,
-}
-
-impl TraceContext {
-    /// Encoded size in bytes.
-    pub const WIRE_LEN: usize = 16;
-
-    /// Serialises the context for the wire.
-    pub fn to_bytes(self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        out[..8].copy_from_slice(&self.trace_id.to_le_bytes());
-        out[8..].copy_from_slice(&self.parent_span_id.to_le_bytes());
-        out
-    }
-
-    /// Reads a context back from [`TraceContext::to_bytes`] output.
-    /// Returns `None` when fewer than [`TraceContext::WIRE_LEN`]
-    /// bytes are given.
-    pub fn from_bytes(bytes: &[u8]) -> Option<TraceContext> {
-        if bytes.len() < Self::WIRE_LEN {
-            return None;
-        }
-        Some(TraceContext {
-            trace_id: u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
-            parent_span_id: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        })
-    }
 }
 
 /// How a heap reference crosses the boundary.
@@ -568,15 +541,6 @@ mod tests {
         Heap::new(HeapConfig { gc_threshold_bytes: u64::MAX, ..HeapConfig::default() })
     }
 
-    #[test]
-    fn trace_context_round_trips_and_rejects_short_input() {
-        let ctx = TraceContext { trace_id: 0xDEAD_BEEF_0BAD_F00D, parent_span_id: 42 };
-        let bytes = ctx.to_bytes();
-        assert_eq!(bytes.len(), TraceContext::WIRE_LEN);
-        assert_eq!(TraceContext::from_bytes(&bytes), Some(ctx));
-        assert_eq!(TraceContext::from_bytes(&bytes[..15]), None);
-    }
-
     fn roundtrip(value: &Value, src: &Heap, dst: &mut Heap) -> Value {
         let bytes = encode_value(src, value, &mut inline_all).unwrap();
         let decoded = decode_value(dst, &bytes, &mut resolve_none).unwrap();
@@ -749,6 +713,22 @@ mod tests {
         let (copied, _) = roundtrip_v2(&Value::Ref(obj), &src, &mut dst);
         let new_id = copied.as_ref_id().unwrap();
         assert_eq!(dst.class_of(new_id), Some(ClassId(4)));
+    }
+
+    #[test]
+    fn v1_and_v2_payloads_decode_back_to_back() {
+        // One decoder serves both formats in one message stream: it
+        // sniffs the v2 marker per payload.
+        let src = heap();
+        let mut dst = heap();
+        let v = Value::List(vec![Value::Bytes(vec![9; 32]), Value::Int(75), Value::from("x")]);
+        let v1 = encode_value(&src, &v, &mut inline_all).unwrap();
+        let mut v2 = Vec::new();
+        encode_value_v2(&src, &v, &mut inline_all, &mut v2).unwrap();
+        for bytes in [&v1, &v2, &v1, &v2] {
+            let decoded = decode_value(&mut dst, bytes, &mut resolve_none).unwrap();
+            assert_eq!(decoded.unpin(&mut dst), v);
+        }
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! - [`codec`] — the wire format that deep-copies neutral objects,
 //!   preserves shared substructure/cycles, and hash-references
 //!   annotated objects;
-//! - [`batch`] — batched wire frames: several queued switchless
-//!   requests cross the boundary as one length-prefixed frame, so a
-//!   worker wakeup that drains a batch pays one frame header;
 //! - [`pool`] — thread-local pooled encode/decode buffers with
 //!   high-water-mark trimming, so steady-state crossings allocate no
 //!   fresh payload memory;
@@ -32,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod codec;
 pub mod gc_helper;
 pub mod hash;

@@ -14,19 +14,16 @@
 //! Retention is bounded two ways:
 //!
 //! - at most [`MAX_POOLED_BUFS`] buffers are kept per thread, and no
-//!   buffer above the configured capacity cap is ever retained;
+//!   buffer above [`DEFAULT_CAP_BYTES`] is ever retained;
 //! - a *high-water mark* of observed payload sizes is kept per
 //!   thread, and once per [`TRIM_WINDOW`] releases any retained
 //!   buffer whose capacity exceeds twice the recent high-water mark
 //!   is shrunk back to it — a burst of huge payloads cannot pin its
 //!   peak footprint forever.
 //!
-//! The capacity cap is read once per process from
-//! `MONTSALVAT_SERDE_POOL` (bytes; `0` disables pooling entirely),
-//! defaulting to [`DEFAULT_CAP_BYTES`]. See `docs/SERDE.md`.
+//! See `docs/SERDE.md`.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 /// Default per-buffer retention cap: buffers that grew beyond this are
 /// dropped rather than pooled (1 MiB).
@@ -37,19 +34,6 @@ pub const MAX_POOLED_BUFS: usize = 8;
 
 /// Releases between high-water-mark trim passes.
 pub const TRIM_WINDOW: u32 = 64;
-
-static CAP: OnceLock<usize> = OnceLock::new();
-
-/// The process-wide retention cap in bytes (`0` = pooling disabled),
-/// from `MONTSALVAT_SERDE_POOL` or [`DEFAULT_CAP_BYTES`].
-pub fn cap_bytes() -> usize {
-    *CAP.get_or_init(|| {
-        std::env::var("MONTSALVAT_SERDE_POOL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CAP_BYTES)
-    })
-}
 
 /// The per-thread free list plus its trimming state.
 #[derive(Debug, Default)]
@@ -136,12 +120,7 @@ impl PooledBuf {
 }
 
 /// Hands out a cleared buffer, reusing pooled capacity when available.
-/// With pooling disabled (`MONTSALVAT_SERDE_POOL=0`) this is a plain
-/// fresh allocation.
 pub fn acquire() -> PooledBuf {
-    if cap_bytes() == 0 {
-        return PooledBuf { buf: Vec::new(), pooled: false };
-    }
     POOL.with(|p| p.borrow_mut().acquire())
 }
 
@@ -153,14 +132,10 @@ pub fn thread_reuses() -> u64 {
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        let cap = cap_bytes();
-        if cap == 0 {
-            return;
-        }
         let buf = std::mem::take(&mut self.buf);
         // A panicking thread may drop after its TLS is torn down;
         // losing the buffer is fine then.
-        let _ = POOL.try_with(|p| p.borrow_mut().release(buf, cap));
+        let _ = POOL.try_with(|p| p.borrow_mut().release(buf, DEFAULT_CAP_BYTES));
     }
 }
 

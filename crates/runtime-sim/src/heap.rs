@@ -99,25 +99,7 @@ pub enum CollectorKind {
 }
 
 impl CollectorKind {
-    /// Parses a selector string (`"semispace"` | `"block"`,
-    /// case-insensitive). Returns `None` for anything else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "semispace" => Some(CollectorKind::Semispace),
-            "block" => Some(CollectorKind::Block),
-            _ => None,
-        }
-    }
-
-    /// Reads the `MONTSALVAT_GC` environment selector. Unset or
-    /// unrecognised values read as `None` (callers fall back to their
-    /// configured default), mirroring the provider detector.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("MONTSALVAT_GC").ok().and_then(|v| Self::parse(&v))
-    }
-
-    /// Stable lowercase name (`"semispace"` | `"block"`), matching what
-    /// [`CollectorKind::parse`] accepts.
+    /// Stable lowercase name (`"semispace"` | `"block"`).
     pub fn name(&self) -> &'static str {
         match self {
             CollectorKind::Semispace => "semispace",
@@ -1165,18 +1147,6 @@ mod tests {
         h.remove_root(id);
         h.collect();
         assert!(!h.is_live(id));
-    }
-
-    #[test]
-    fn collector_kind_parses_selector_strings() {
-        assert_eq!(CollectorKind::parse("semispace"), Some(CollectorKind::Semispace));
-        assert_eq!(CollectorKind::parse("Block"), Some(CollectorKind::Block));
-        assert_eq!(CollectorKind::parse(" block "), Some(CollectorKind::Block));
-        assert_eq!(CollectorKind::parse("shenandoah"), None);
-        assert_eq!(CollectorKind::parse(""), None);
-        assert_eq!(CollectorKind::Semispace.name(), "semispace");
-        assert_eq!(CollectorKind::Block.name(), "block");
-        assert_eq!(CollectorKind::parse(CollectorKind::Block.name()), Some(CollectorKind::Block));
     }
 
     #[test]

@@ -24,11 +24,6 @@
 //! EPC-paging, switchless-fallback, scale, or queue-pressure events
 //! with a confidence note. `montsalvat timeline <export>` renders the
 //! aligned timelines and the spike report (see `docs/TELEMETRY.md`).
-//!
-//! Knobs: `MONTSALVAT_TIMESERIES=0` disables windowed capture in the
-//! traffic harness (default on there); `MONTSALVAT_TIMESERIES_WINDOW`
-//! sets the window width in model nanoseconds (default
-//! [`DEFAULT_WINDOW_NS`]).
 
 use std::sync::Arc;
 
@@ -52,14 +47,10 @@ pub const DEFAULT_WINDOW_NS: u64 = 1_000_000;
 /// Default ring capacity, in stored (active) windows.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Sizing read from the environment (see module docs).
+/// Window sizing of a [`FlightRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeseriesConfig {
-    /// Whether windowed capture is enabled (`MONTSALVAT_TIMESERIES`,
-    /// default true — the flag exists to switch the harness *off*).
-    pub enabled: bool,
-    /// Window width in model nanoseconds
-    /// (`MONTSALVAT_TIMESERIES_WINDOW`, default [`DEFAULT_WINDOW_NS`]).
+    /// Window width in model nanoseconds (default [`DEFAULT_WINDOW_NS`]).
     pub window_ns: u64,
     /// Ring capacity in stored windows (default [`DEFAULT_CAPACITY`]).
     pub capacity: usize,
@@ -67,21 +58,7 @@ pub struct TimeseriesConfig {
 
 impl Default for TimeseriesConfig {
     fn default() -> Self {
-        TimeseriesConfig { enabled: true, window_ns: DEFAULT_WINDOW_NS, capacity: DEFAULT_CAPACITY }
-    }
-}
-
-impl TimeseriesConfig {
-    /// Reads `MONTSALVAT_TIMESERIES` / `MONTSALVAT_TIMESERIES_WINDOW`,
-    /// falling back to the defaults for anything unset or unparsable.
-    pub fn from_env() -> TimeseriesConfig {
-        let enabled = std::env::var("MONTSALVAT_TIMESERIES").map(|v| v != "0").unwrap_or(true);
-        let window_ns = std::env::var("MONTSALVAT_TIMESERIES_WINDOW")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_WINDOW_NS);
-        TimeseriesConfig { enabled, window_ns, capacity: DEFAULT_CAPACITY }
+        TimeseriesConfig { window_ns: DEFAULT_WINDOW_NS, capacity: DEFAULT_CAPACITY }
     }
 }
 
@@ -775,10 +752,8 @@ mod tests {
 
     fn recorder_and_flight(window_ns: u64, capacity: usize) -> (Arc<Recorder>, FlightRecorder) {
         let recorder = Recorder::new();
-        let flight = FlightRecorder::new(
-            Arc::clone(&recorder),
-            TimeseriesConfig { enabled: true, window_ns, capacity },
-        );
+        let flight =
+            FlightRecorder::new(Arc::clone(&recorder), TimeseriesConfig { window_ns, capacity });
         (recorder, flight)
     }
 
@@ -1045,7 +1020,6 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let config = TimeseriesConfig::default();
-        assert!(config.enabled);
         assert_eq!(config.window_ns, DEFAULT_WINDOW_NS);
         assert_eq!(config.capacity, DEFAULT_CAPACITY);
     }

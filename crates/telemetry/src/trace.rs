@@ -25,10 +25,8 @@
 //!    time from the tracer's origin. The exported timeline is model
 //!    time; wall time rides along in `args`.
 //!
-//! Sizing knobs (read when a tracer is enabled):
-//! `MONTSALVAT_TRACE_BUFFER` — events per lane (default 65536);
-//! `MONTSALVAT_TRACE=1` — enable the process-global tracer at first
-//! use. See `docs/TRACING.md`.
+//! Rings hold [`DEFAULT_BUFFER`] events per lane unless
+//! [`Tracer::enable_with_capacity`] sizes them. See `docs/TRACING.md`.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -46,8 +44,7 @@ use crate::Counter;
 /// the version, renames/removals bump it.
 pub const TRACE_SCHEMA: &str = "montsalvat.trace/v1";
 
-/// Default ring capacity per lane, overridable with
-/// `MONTSALVAT_TRACE_BUFFER`.
+/// Default ring capacity per lane (see [`Tracer::enable`]).
 pub const DEFAULT_BUFFER: usize = 65_536;
 
 /// Which runtime ("process" in the Chrome trace sense) an event
@@ -245,14 +242,6 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-fn buffer_from_env() -> usize {
-    std::env::var("MONTSALVAT_TRACE_BUFFER")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(8))
-        .unwrap_or(DEFAULT_BUFFER)
-}
-
 impl Tracer {
     /// Creates a disabled tracer.
     #[allow(clippy::new_ret_no_self)]
@@ -267,24 +256,17 @@ impl Tracer {
     }
 
     /// The process-global tracer that [`CostModel`]s attach to by
-    /// default. Starts disabled unless `MONTSALVAT_TRACE=1`.
+    /// default. Starts disabled.
     ///
     /// [`CostModel`]: ../../sgx_sim/cost/struct.CostModel.html
     pub fn global() -> &'static Arc<Tracer> {
         static GLOBAL: OnceLock<Arc<Tracer>> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let tracer = Tracer::new();
-            if std::env::var("MONTSALVAT_TRACE").map(|v| v == "1").unwrap_or(false) {
-                tracer.enable();
-            }
-            tracer
-        })
+        GLOBAL.get_or_init(Tracer::new)
     }
 
-    /// Enables capture with the `MONTSALVAT_TRACE_BUFFER` capacity
-    /// (default [`DEFAULT_BUFFER`] events per lane).
+    /// Enables capture with [`DEFAULT_BUFFER`] events per lane.
     pub fn enable(&self) {
-        self.enable_with_capacity(buffer_from_env());
+        self.enable_with_capacity(DEFAULT_BUFFER);
     }
 
     /// Enables capture with an explicit per-lane capacity. The first

@@ -273,7 +273,7 @@ fn export_run_outputs(
 
     let recorder = Recorder::new();
     // A private tracer isolates this run's trace from anything else in
-    // the process; capacity comes from MONTSALVAT_TRACE_BUFFER.
+    // the process.
     let tracer = trace_out.map(|_| {
         let t = Tracer::new();
         t.enable();
@@ -367,7 +367,7 @@ fn render_timeline(series: &montsalvat::telemetry::timeseries::ParsedSeries, k: 
         let _ = writeln!(
             out,
             "WARN: {} window(s) dropped — the ring filled, the newest activity is \
-             missing; raise MONTSALVAT_TIMESERIES_WINDOW or the capacity",
+             missing; raise the recorder's TimeseriesConfig window_ns or capacity",
             series.dropped
         );
     }
@@ -465,7 +465,7 @@ struct AdviseOpts {
 }
 
 /// Reads a `--trace-out` document, runs the partition advisor over it
-/// with `MONTSALVAT_*`-overridable cost parameters, and renders the
+/// with the paper platform's cost parameters, and renders the
 /// plan (table or JSON). See `docs/PARTITIONING.md` for the equations.
 fn run_advise(input: &str, opts: &AdviseOpts) -> Result<String, String> {
     use montsalvat::core::analysis::advisor::{advise, advise_with_classes, AdvisorConfig};
@@ -474,7 +474,7 @@ fn run_advise(input: &str, opts: &AdviseOpts) -> Result<String, String> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("reading {input}: {e}"))?;
     let trace = montsalvat::telemetry::trace::parse_chrome_trace(&text)
         .map_err(|e| format!("parsing {input}: {e}"))?;
-    let params = CostParams::from_env();
+    let params = CostParams::paper_defaults();
     let mut cfg = AdvisorConfig::default();
     if let Some(n) = opts.min_samples {
         cfg.min_samples = n;
@@ -588,7 +588,7 @@ fn render_trace_report(trace: &montsalvat::telemetry::trace::ParsedTrace, top: u
         let _ = writeln!(
             out,
             "WARN: {dropped} trace event(s) dropped — the ring filled, call trees may \
-             be truncated; raise MONTSALVAT_TRACE_BUFFER"
+             be truncated; size the rings with Tracer::enable_with_capacity"
         );
     }
 
@@ -999,7 +999,7 @@ mod tests {
         use montsalvat::telemetry::timeseries::{FlightRecorder, TimeseriesConfig};
         use montsalvat::telemetry::{Counter, Hist, Recorder};
         let recorder = Recorder::new();
-        let cfg = TimeseriesConfig { enabled: true, window_ns: 1_000, capacity };
+        let cfg = TimeseriesConfig { window_ns: 1_000, capacity };
         let mut flight = FlightRecorder::new(std::sync::Arc::clone(&recorder), cfg);
         for w in 0..5u64 {
             recorder.incr(Counter::TrafficRequests);
@@ -1041,7 +1041,7 @@ mod tests {
         std::fs::write(&path, series.to_json()).unwrap();
         let report = run_timeline(path.to_str().unwrap(), 4.0).expect("timeline renders");
         assert!(report.contains("WARN"), "{report}");
-        assert!(report.contains("MONTSALVAT_TIMESERIES_WINDOW"), "{report}");
+        assert!(report.contains("TimeseriesConfig window_ns"), "{report}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1068,7 +1068,7 @@ mod tests {
         let parsed = parse_chrome_trace(&tracer.to_chrome_json(&[])).unwrap();
         let report = render_trace_report(&parsed, 3);
         assert!(report.contains("WARN"), "{report}");
-        assert!(report.contains("MONTSALVAT_TRACE_BUFFER"), "{report}");
+        assert!(report.contains("Tracer::enable_with_capacity"), "{report}");
     }
 
     #[test]
@@ -1096,7 +1096,7 @@ mod tests {
         use montsalvat::telemetry::timeseries::{FlightRecorder, TimeseriesConfig};
         use montsalvat::telemetry::{Counter, Gauge, Hist, Recorder};
         let recorder = Recorder::new();
-        let cfg = TimeseriesConfig { enabled: true, window_ns: 1_000, capacity: 16 };
+        let cfg = TimeseriesConfig { window_ns: 1_000, capacity: 16 };
         let mut flight = FlightRecorder::new(std::sync::Arc::clone(&recorder), cfg);
         for w in 0..3u64 {
             recorder.incr(Counter::TrafficRequests);

@@ -4,15 +4,10 @@
 //! Runs the kvstore traffic workload under `SimSgx` and `PassThrough`
 //! and asserts identical results (checksums, hit/miss/put counts) with
 //! strictly lower model time and zero enclave transitions for the
-//! pass-through lane, plus the `MONTSALVAT_PROVIDER` detection
-//! precedence end to end.
+//! pass-through lane.
 
 use experiments::traffic::{lanes, run_lane, TrafficConfig};
-use montsalvat::core::exec::app::{AppConfig, PartitionedApp};
-use montsalvat::core::image_builder::{build_partitioned_images, ImageOptions};
-use montsalvat::core::provider::{ProviderKind, PROVIDER_ENV};
-use montsalvat::core::samples::bank_program;
-use montsalvat::core::transform::transform;
+use montsalvat::core::provider::ProviderKind;
 
 fn tiny() -> TrafficConfig {
     TrafficConfig { requests: 160, key_space: 96, ..TrafficConfig::quick() }
@@ -47,41 +42,4 @@ fn kvstore_workload_is_identical_across_providers() {
         pt.model_time_ns,
         sgx.model_time_ns
     );
-}
-
-fn launch_bank(config: AppConfig) -> PartitionedApp {
-    let tp = transform(&bank_program());
-    let options = ImageOptions::default();
-    let (t, u) = build_partitioned_images(&tp, &options, &options).expect("images build");
-    PartitionedApp::launch(&t, &u, config).expect("app launches")
-}
-
-/// Detection precedence end to end: env selects the provider when the
-/// config leaves it open, and an explicit config pin beats the env.
-///
-/// Kept as a single test so only one thread touches `MONTSALVAT_PROVIDER`
-/// — every other test in the suite pins its provider via `AppConfig`.
-#[test]
-fn env_var_selects_provider_and_config_pin_wins() {
-    std::env::set_var(PROVIDER_ENV, "passthrough");
-
-    // provider: None → the detector consults the env.
-    let app = launch_bank(AppConfig { gc_helper_interval: None, ..AppConfig::default() });
-    app.run_main().expect("main runs");
-    let stats = app.sgx_stats();
-    assert_eq!(stats.ecalls, 0, "pass-through performs no ecalls");
-    assert_eq!(stats.ocalls, 0, "pass-through performs no ocalls");
-    app.shutdown();
-
-    // An explicit config pin beats the env.
-    let app = launch_bank(AppConfig {
-        gc_helper_interval: None,
-        provider: Some(ProviderKind::SimSgx),
-        ..AppConfig::default()
-    });
-    app.run_main().expect("main runs");
-    assert!(app.sgx_stats().ecalls > 0, "config-pinned sim-sgx still crosses");
-    app.shutdown();
-
-    std::env::remove_var(PROVIDER_ENV);
 }
